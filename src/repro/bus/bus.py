@@ -183,6 +183,8 @@ class Bus(Module, BusMasterIf):
     ):
         """Arbitrated burst write (use with ``yield from``). Returns True on success."""
         words = normalize_write_data(data)
+        if not words:
+            raise SimulationError("burst write needs at least one word")
         return self._transfer("write", addr, len(words), words, master, tags)
 
     # -- core transfer ----------------------------------------------------------------

@@ -1,20 +1,28 @@
 """Memory models.
 
 :class:`Memory` is a bus slave with first-access latency and per-word
-streaming cycles, backed by a sparse word store (so a multi-megabyte
-configuration memory costs nothing until written).  The paper's context
-scheduler "generate[s] proper data reads in to the memory space that holds
-the required context" — those reads land here and their cost is what
-experiment A3 varies.
+streaming cycles.  The paper's context scheduler "generate[s] proper data
+reads in to the memory space that holds the required context" — those
+reads land here and their cost is what experiment A3 varies.
+
+The backing store is paged and sparse: words live in fixed 1024-word pages
+allocated on the first write that touches them, and unwritten spans read
+as the fill word, so a multi-megabyte configuration memory costs nothing
+until written and a burst read or :meth:`Memory.peek` is one or two list
+slices.  Every store mutation (bus write, :meth:`Memory.poke`, upset
+injection, scrub repair) goes through one helper that bumps the memory's
+write :attr:`~Memory.generation`.
 
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
-region can be asserted against in tests.
+region can be asserted against in tests.  Its integrity verdict
+(:meth:`ConfigMemory.region_is_clean`) is memoized per region against the
+write generation, so a region is re-hashed only after the store changed.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kernel import Module, SimulationError, cycles_to_time
 from .interfaces import BusSlaveIf, normalize_write_data
@@ -22,15 +30,45 @@ from .interfaces import BusSlaveIf, normalize_write_data
 #: FNV-1a offset/prime (32-bit) for bitstream checksums.
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
+#: ``region_checksum`` folds each all-zero chunk of this many words into
+#: one multiplication by ``_FNV_PRIME ** _ZERO_CHUNK``.
+_ZERO_CHUNK = 64
+_FNV_PRIME_CHUNK = pow(_FNV_PRIME, _ZERO_CHUNK, 1 << 32)
+
+#: Sparse-store page size (words); pages are allocated on first write.
+_PAGE_BITS = 10
+_PAGE_WORDS = 1 << _PAGE_BITS
+_PAGE_MASK = _PAGE_WORDS - 1
 
 
 def region_checksum(words) -> int:
-    """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in."""
+    """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in.
+
+    Bit-exact with the plain word loop.  XOR with a zero word is the
+    identity, so an all-zero chunk (unwritten bitstream) folds into one
+    multiplication by a precomputed prime power; other chunks run the loop.
+    """
     value = _FNV_OFFSET
-    for word in words:
-        value ^= word & 0xFFFFFFFF
-        value = (value * _FNV_PRIME) & 0xFFFFFFFF
+    full = len(words) - len(words) % _ZERO_CHUNK
+    for start in range(0, full, _ZERO_CHUNK):
+        chunk = words[start:start + _ZERO_CHUNK]
+        if any(chunk):
+            for word in chunk:
+                value = ((value ^ (word & 0xFFFFFFFF)) * _FNV_PRIME) & 0xFFFFFFFF
+        else:
+            value = (value * _FNV_PRIME_CHUNK) & 0xFFFFFFFF
+    for word in words[full:]:
+        value = ((value ^ (word & 0xFFFFFFFF)) * _FNV_PRIME) & 0xFFFFFFFF
     return value
+
+
+def _page_spans(index: int, end: int) -> Iterator[Tuple[int, int, int]]:
+    """``(page number, offset, length)`` of each page's share of ``[index, end)``."""
+    while index < end:
+        offset = index & _PAGE_MASK
+        take = min(end - index, _PAGE_WORDS - offset)
+        yield index >> _PAGE_BITS, offset, take
+        index += take
 
 
 class Memory(Module, BusSlaveIf):
@@ -48,6 +86,8 @@ class Memory(Module, BusSlaveIf):
         Additional cycles for each subsequent word of a burst.
     clock_freq_hz:
         Memory clock used to convert cycles to time.
+    fill:
+        The value every word reads as until it is written.
 
     A fault injector (:mod:`repro.faults`) may set :attr:`fault_hook`; the
     hook's ``on_memory_read`` then filters every burst read's data (modeling
@@ -83,7 +123,10 @@ class Memory(Module, BusSlaveIf):
         self.cycles_per_word = cycles_per_word
         self.clock_freq_hz = clock_freq_hz
         self.fill = fill
-        self._store: Dict[int, int] = {}
+        #: Page number -> its words; only pages something was written to.
+        self._pages: Dict[int, List[int]] = {}
+        #: Write generation: bumped by every store mutation.
+        self.generation = 0
         self.read_word_count = 0
         self.write_word_count = 0
         # Burst-size -> SimTime cache: workloads issue the same burst
@@ -111,10 +154,7 @@ class Memory(Module, BusSlaveIf):
         index = self._index(addr, count)
         yield self._burst_time(count)
         self.read_word_count += count
-        if count == 1:
-            data = [self._store.get(index, self.fill)]
-        else:
-            data = [self._store.get(index + i, self.fill) for i in range(count)]
+        data = self._load(index, count)
         hook = self.fault_hook
         if hook is not None:
             data = hook.on_memory_read(self, addr, count, data)
@@ -125,14 +165,13 @@ class Memory(Module, BusSlaveIf):
         if type(data) is int:  # scalar single-word write: skip normalization
             index = self._index(addr, 1)
             yield self._burst_time(1)
-            self._store[index] = data
+            self._commit(index, (data,))
             self.write_word_count += 1
             return True
         words = normalize_write_data(data)
         index = self._index(addr, len(words))
         yield self._burst_time(len(words))
-        for i, word in enumerate(words):
-            self._store[index + i] = word
+        self._commit(index, words)
         self.write_word_count += len(words)
         return True
 
@@ -140,14 +179,35 @@ class Memory(Module, BusSlaveIf):
     def poke(self, addr: int, data: Union[int, Sequence[int]]) -> None:
         """Write words without consuming simulated time (test-bench backdoor)."""
         words = normalize_write_data(data)
-        index = self._index(addr, len(words))
-        for i, word in enumerate(words):
-            self._store[index + i] = word
+        self._commit(self._index(addr, len(words)), words)
 
     def peek(self, addr: int, count: int = 1) -> List[int]:
         """Read words without consuming simulated time (test-bench backdoor)."""
-        index = self._index(addr, count)
-        return [self._store.get(index + i, self.fill) for i in range(count)]
+        return self._load(self._index(addr, count), count)
+
+    # -- the paged store ------------------------------------------------------------
+    def _load(self, index: int, count: int) -> List[int]:
+        """A fresh list of the ``count`` words from word ``index`` on."""
+        offset = index & _PAGE_MASK
+        if offset + count <= _PAGE_WORDS:  # one page: the common burst
+            page = self._pages.get(index >> _PAGE_BITS)
+            return [self.fill] * count if page is None else page[offset:offset + count]
+        words: List[int] = []
+        for page_no, offset, take in _page_spans(index, index + count):
+            page = self._pages.get(page_no)
+            words += [self.fill] * take if page is None else page[offset:offset + take]
+        return words
+
+    def _commit(self, index: int, words: Sequence[int]) -> None:
+        """Store ``words`` from word ``index`` on: the one mutation path."""
+        self.generation += 1
+        done = 0
+        for page_no, offset, take in _page_spans(index, index + len(words)):
+            page = self._pages.get(page_no)
+            if page is None:
+                page = self._pages[page_no] = [self.fill] * _PAGE_WORDS
+            page[offset:offset + take] = words[done:done + take]
+            done += take
 
     def _index(self, addr: int, count: int) -> int:
         if addr % self.word_bytes:
@@ -182,9 +242,12 @@ class ConfigMemory(Memory):
         self._regions: Dict[str, Tuple[int, int]] = {}
         self._checksums: Dict[str, int] = {}
         self._transient_errors: Dict[str, int] = {}
-        #: Golden sparse image of each region at registration time, for
-        #: scrubbing repairs (word index -> word, only explicitly set words).
-        self._golden: Dict[str, Dict[int, int]] = {}
+        #: Golden image of each region at registration time, for scrubbing
+        #: repairs: copies of the pages that existed then (page number ->
+        #: words); a page absent here held only fill words.
+        self._golden: Dict[str, Dict[int, List[int]]] = {}
+        #: Memoized :meth:`region_is_clean` verdict: (generation, clean).
+        self._verdicts: Dict[str, Tuple[int, bool]] = {}
         self.injected_errors = 0
 
     def register_context_region(self, context_name: str, addr: int, size_bytes: int) -> None:
@@ -198,13 +261,24 @@ class ConfigMemory(Memory):
         self._checksums[context_name] = self._compute_checksum(addr, size_bytes)
         lo, hi = self._region_indices(addr, size_bytes)
         self._golden[context_name] = {
-            i: w for i, w in self._store.items() if lo <= i < hi
+            page_no: list(self._pages[page_no])
+            for page_no, _, _ in _page_spans(lo, hi)
+            if page_no in self._pages
         }
+        self._verdicts[context_name] = (self.generation, True)
 
     def _region_indices(self, addr: int, size_bytes: int) -> Tuple[int, int]:
         """Half-open word-index range of a byte region."""
         lo = (addr - self.base) // self.word_bytes
         return lo, lo + max(1, -(-size_bytes // self.word_bytes))
+
+    def _known_region(self, context_name: str) -> Tuple[int, int]:
+        """Half-open word-index range of a registered region."""
+        if context_name not in self._regions:
+            raise SimulationError(
+                f"{self.full_name}: unknown context region {context_name!r}"
+            )
+        return self._region_indices(*self._regions[context_name])
 
     def _compute_checksum(self, addr: int, size_bytes: int) -> int:
         words = max(1, -(-size_bytes // self.word_bytes))
@@ -226,10 +300,7 @@ class ConfigMemory(Memory):
         whole-bitstream fetch containing a corrupted burst fails its
         checksum once and succeeds on refetch.
         """
-        if context_name not in self._regions:
-            raise SimulationError(
-                f"{self.full_name}: unknown context region {context_name!r}"
-            )
+        self._known_region(context_name)
         if n_bursts <= 0:
             raise ValueError("n_bursts must be positive")
         self._transient_errors[context_name] = (
@@ -244,14 +315,9 @@ class ConfigMemory(Memory):
         ``bit_indices`` are offsets from the region start; callers derive
         them from a seeded RNG so injections are reproducible.
         """
-        if context_name not in self._regions:
-            raise SimulationError(
-                f"{self.full_name}: unknown context region {context_name!r}"
-            )
+        lo, hi = self._known_region(context_name)
         if not bit_indices:
             raise ValueError("need at least one bit to flip")
-        addr, size_bytes = self._regions[context_name]
-        lo, hi = self._region_indices(addr, size_bytes)
         word_bits = self.word_bytes * 8
         for bit in bit_indices:
             if bit < 0 or bit >= (hi - lo) * word_bits:
@@ -260,9 +326,8 @@ class ConfigMemory(Memory):
                     f"({(hi - lo) * word_bits} bits)"
                 )
             index = lo + bit // word_bits
-            self._store[index] = self._store.get(index, self.fill) ^ (
-                1 << (bit % word_bits)
-            )
+            flipped = self._load(index, 1)[0] ^ (1 << (bit % word_bits))
+            self._commit(index, (flipped,))
             self.injected_errors += 1
 
     def scrub_region(self, context_name: str) -> bool:
@@ -273,28 +338,33 @@ class ConfigMemory(Memory):
         scrubber pays for detection with real bus reads; the repair write-
         back is modeled as instantaneous ECC correction).
         """
-        if context_name not in self._regions:
-            raise SimulationError(
-                f"{self.full_name}: unknown context region {context_name!r}"
-            )
-        addr, size_bytes = self._regions[context_name]
-        lo, hi = self._region_indices(addr, size_bytes)
+        lo, hi = self._known_region(context_name)
         golden = self._golden[context_name]
         repaired = False
-        for index in [i for i in self._store if lo <= i < hi]:
-            if index not in golden:
-                del self._store[index]
-                repaired = True
-        for index, word in golden.items():
-            if self._store.get(index) != word:
-                self._store[index] = word
+        for page_no, offset, take in _page_spans(lo, hi):
+            page = self._pages.get(page_no)
+            if page is None:  # never written: still all fill, as at registration
+                continue
+            saved = golden.get(page_no)
+            want = [self.fill] * take if saved is None else saved[offset:offset + take]
+            if page[offset:offset + take] != want:
+                self._commit((page_no << _PAGE_BITS) + offset, want)
                 repaired = True
         return repaired
 
     def region_is_clean(self, context_name: str) -> bool:
-        """Does the region's current content match its registered checksum?"""
-        addr, size_bytes = self._regions[context_name]
-        return self._compute_checksum(addr, size_bytes) == self._checksums[context_name]
+        """Does the region's current content match its registered checksum?
+
+        The verdict is memoized against the write generation: the region is
+        re-hashed only when the store changed since the last verdict
+        (registration seeds "clean").
+        """
+        generation, clean = self._verdicts[context_name]
+        if generation != self.generation:
+            addr, size_bytes = self._regions[context_name]
+            clean = self._compute_checksum(addr, size_bytes) == self._checksums[context_name]
+            self._verdicts[context_name] = (self.generation, clean)
+        return clean
 
     def read(self, addr: int, count: int = 1):
         data = yield from super().read(addr, count)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bus import Bus, Memory
 from repro.bus.interfaces import BusSlaveIf
-from repro.kernel import ProcessError, SimulationError, Simulator, ns, us
+from repro.kernel import ZERO_TIME, ProcessError, SimulationError, Simulator, ns, us
 from tests.conftest import drive
 
 
@@ -115,6 +115,22 @@ class TestTiming:
         sim.spawn("p", body)
         with pytest.raises(Exception, match="positive"):
             sim.run()
+
+    def test_empty_write_rejected_before_arbitration(self, sim):
+        bus, _ = make_system(sim)
+        with pytest.raises(SimulationError, match="at least one word"):
+            bus.write(0x1000, [], master="cpu")
+
+        def body():
+            yield from bus.write(0x1000, (), master="cpu")
+
+        sim.spawn("p", body)
+        with pytest.raises(Exception, match="at least one word"):
+            sim.run()
+        # Rejected at call time: no grant, no address phase, no transaction.
+        assert sim.now == ZERO_TIME
+        assert bus.arbiter.owner is None
+        assert bus.monitor.transactions == []
 
 
 class TestContention:

@@ -81,7 +81,8 @@ class TestMemory:
     def test_sparse_backing_stays_small(self, sim):
         mem = Memory("m", sim=sim, base=0, size_words=1 << 24)
         mem.poke(0, [1])
-        assert len(mem._store) == 1
+        assert mem.peek(4 * ((1 << 24) - 1024), 1024) == [0] * 1024
+        assert len(mem._pages) == 1  # one written page; reads allocate nothing
 
 
 class TestConfigMemory:
@@ -103,3 +104,28 @@ class TestConfigMemory:
         mem = ConfigMemory("cfg", sim=sim, base=0, size_words=16)
         with pytest.raises(KeyError):
             mem.region_of("nope")
+
+    def test_scrub_reports_no_repair_when_no_word_changed(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
+        mem.register_context_region("fir", 0, 256)
+        mem.poke(0x10, [0])  # writes the fill value: the content is unchanged
+        assert mem.region_is_clean("fir")
+        assert mem.scrub_region("fir") is False
+
+    def test_scrub_restores_only_the_region(self, sim):
+        # Region "a" covers words [960, 1088): it straddles the first page
+        # boundary and shares page 0 with words outside it.
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=4096)
+        mem.poke(0x0FF8, [1, 2, 3, 4])  # words 1022..1025, before registration
+        mem.register_context_region("a", 0x0F00, 0x200)
+        image = mem.peek(0x0F00, 0x80)
+        mem.poke(0x0E00, [5])  # outside the region, same page
+        mem.poke(0x0F00, [9, 9])
+        mem.poke(0x0FFC, [0, 0])
+        mem.corrupt_region("a", [0x80 * 32 - 1])
+        assert not mem.region_is_clean("a")
+        assert mem.scrub_region("a") is True
+        assert mem.peek(0x0F00, 0x80) == image
+        assert mem.region_is_clean("a")
+        assert mem.peek(0x0E00) == [5]
+        assert mem.scrub_region("a") is False

@@ -1,0 +1,214 @@
+"""Differential tests of the paged memory store and the region checksum.
+
+Each optimized path is checked against a plain reference kept here: the
+word-by-word FNV-1a loop, a dict word store, and a fresh comparison of the
+region's content with its registration image.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import repro.bus.memory as memory_mod
+from repro.bus import Bus, ConfigMemory, Memory, region_checksum
+from repro.core import FULL_RECOVERY
+from repro.kernel import Simulator, us
+from tests.faults.helpers import make_rig
+
+PAGE = 1024
+
+
+def reference_checksum(words) -> int:
+    """FNV-1a (32-bit), one word at a time: the definition."""
+    value = 0x811C9DC5
+    for word in words:
+        value ^= word & 0xFFFFFFFF
+        value = (value * 0x01000193) & 0xFFFFFFFF
+    return value
+
+
+def drain(gen):
+    """Run a memory access generator to completion outside a simulation."""
+    try:
+        while True:
+            next(gen)
+    except StopIteration as stop:
+        return stop.value
+
+
+def checksum_spy():
+    """Count the checksums ConfigMemory computes (it calls the module global)."""
+    return mock.patch.object(memory_mod, "region_checksum", wraps=memory_mod.region_checksum)
+
+
+# -- region_checksum ------------------------------------------------------------
+word_values = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.integers(-(2**40), -1),
+    st.integers(2**32, 2**40),
+)
+segments = st.one_of(
+    st.integers(1, 200).map(lambda n: [0] * n),
+    st.lists(word_values, min_size=1, max_size=70),
+)
+
+
+@st.composite
+def word_sequences(draw):
+    """Zero runs and dense stretches; lengths often near a multiple of 64."""
+    words = [w for segment in draw(st.lists(segments, max_size=6)) for w in segment]
+    if draw(st.booleans()):
+        length = max(0, 64 * draw(st.integers(0, 6)) + draw(st.integers(-2, 2)))
+        words = (words + [0] * length)[:length]
+    return words
+
+
+class TestRegionChecksum:
+    @given(word_sequences())
+    @example([0] * 63 + [2**32] + [0] * 64)  # zero low bits in a "zero" chunk
+    @example([-(2**32)] * 128)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_plain_loop(self, words):
+        expected = reference_checksum(words)
+        assert region_checksum(words) == expected
+        assert region_checksum(tuple(words)) == expected
+
+
+# -- the paged store --------------------------------------------------------------
+SIZE = 3 * PAGE + 5  # three full pages and a partial fourth
+BASE = 0x400
+#: Word indices where page arithmetic can go wrong.
+EDGES = [0, PAGE - 2, PAGE - 1, PAGE, 2 * PAGE - 1, 2 * PAGE, SIZE - 2, SIZE - 1]
+indices = st.one_of(st.integers(0, SIZE - 1), st.sampled_from(EDGES))
+payloads = st.one_of(
+    st.integers(0, 2**32 - 1),  # scalar write
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=40),
+    st.integers(1, 1100).map(lambda n: list(range(1, n + 1))),  # page-spanning
+)
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["write", "poke"]), indices, payloads),
+        st.tuples(st.sampled_from(["read", "peek"]), indices, st.integers(1, 1100)),
+    ),
+    max_size=30,
+)
+
+
+class TestPagedStore:
+    @given(st.sampled_from([0, 0xDEAD]), operations)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_dict_reference(self, fill, ops):
+        mem = Memory("m", sim=Simulator(), base=BASE, size_words=SIZE, fill=fill)
+        model = {}
+        generation = mem.generation
+        for kind, index, arg in ops:
+            addr = BASE + 4 * index
+            if kind in ("write", "poke"):
+                payload = arg if isinstance(arg, int) else arg[: SIZE - index]
+                if kind == "write":
+                    assert drain(mem.write(addr, payload)) is True
+                else:
+                    mem.poke(addr, payload)
+                words = [payload] if isinstance(payload, int) else payload
+                model.update(zip(range(index, index + len(words)), words))
+                assert mem.generation > generation
+                generation = mem.generation
+            else:
+                count = min(arg, SIZE - index)
+                got = drain(mem.read(addr, count)) if kind == "read" else mem.peek(addr, count)
+                assert got == [model.get(i, fill) for i in range(index, index + count)]
+                got[0] ^= 1  # a caller's copy: the store must not change
+                assert mem.generation == generation
+        assert mem.peek(BASE, SIZE) == [model.get(i, fill) for i in range(SIZE)]
+        assert set(mem._pages) == {i // PAGE for i in model}
+
+
+# -- the memoized integrity verdict ----------------------------------------------
+def config_memory():
+    """Regions "a" (words [960, 1088), pre-written, straddling a page
+    boundary) and "b" (words [2048, 2560), never written), behind a bus."""
+    sim = Simulator()
+    bus = Bus("bus", sim=sim)
+    mem = ConfigMemory("cfg", sim=sim, base=0, size_words=4 * PAGE)
+    bus.register_slave(mem)
+    mem.poke(0x0FF8, [1, 2, 3, 4])
+    mem.register_context_region("a", 0x0F00, 0x200)
+    mem.register_context_region("b", 0x2000, 0x800)
+    return sim, bus, mem
+
+
+def bus_write(sim, bus, mem):
+    def body():
+        yield from bus.write(0x0F10, [5, 6], master="cpu")
+
+    sim.spawn("cpu", body)
+    sim.run()
+
+
+def corrupt_then_scrub(sim, bus, mem):
+    mem.corrupt_region("a", [40])
+    assert not mem.region_is_clean("a")
+    assert mem.scrub_region("a")
+
+
+#: mutation path -> (apply it, region "a"'s verdict afterwards)
+MUTATIONS = {
+    "bus_write": (bus_write, False),
+    "poke": (lambda sim, bus, mem: mem.poke(0x0F10, [5]), False),
+    "corrupt_region": (lambda sim, bus, mem: mem.corrupt_region("a", [40]), False),
+    "scrub_region": (corrupt_then_scrub, True),
+}
+
+
+class TestVerdictMemo:
+    def test_registration_seeds_clean(self):
+        _, _, mem = config_memory()
+        with checksum_spy() as spy:
+            assert mem.region_is_clean("a") and mem.region_is_clean("b")
+        assert spy.call_count == 0
+
+    @pytest.mark.parametrize("path", sorted(MUTATIONS))
+    def test_every_mutation_path_forces_one_rehash(self, path):
+        sim, bus, mem = config_memory()
+        mutate, verdict = MUTATIONS[path]
+        mutate(sim, bus, mem)
+        with checksum_spy() as spy:
+            assert mem.region_is_clean("a") is verdict
+            assert mem.region_is_clean("a") is verdict
+        assert spy.call_count == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["poke", "corrupt", "scrub"]),
+                st.sampled_from("ab"),
+                st.integers(0, 2**16),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_verdict_tracks_the_content(self, ops):
+        _, _, mem = config_memory()
+        regions = {name: (mem.region_of(name)[0], mem.region_of(name)[1] // 4) for name in "ab"}
+        images = {name: mem.peek(*regions[name]) for name in "ab"}
+        for kind, name, arg in ops:
+            addr, words = regions[name]
+            if kind == "poke":
+                mem.poke(addr + 4 * (arg % words), [arg & 1])  # 0 is the fill value
+            elif kind == "corrupt":
+                mem.corrupt_region(name, [arg % (words * 32)])
+            else:
+                changed = mem.peek(addr, words) != images[name]
+                assert mem.scrub_region(name) is changed
+            for other in "ab":
+                clean = mem.peek(*regions[other]) == images[other]
+                assert mem.region_is_clean(other) is clean
+
+    def test_scrub_periods_over_unchanged_memory_never_rehash(self):
+        rig = make_rig(recovery=FULL_RECOVERY)
+        with checksum_spy() as spy:
+            rig.sim.run(until=us(2000))
+        assert rig.drcf.stats.scrubs >= 30
+        assert spy.call_count == 0

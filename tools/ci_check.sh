@@ -14,7 +14,8 @@
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
 #      layers (must be clean), plus a wall-clock bound on the analyzers
 #      (tools/bench_lint.py --check)
-#   5. fault-campaign smoke: seeded campaign must reproduce byte-for-byte
+#   5. fault-campaign smoke: seeded campaigns must reproduce byte-for-byte,
+#      with the default retry preset and with full recovery (scrubbing)
 #   6. DSE sweep smoke: parallel + cached sweeps must be byte-identical to
 #      serial re-runs (workers 1 and 2), and the warmed cache must hit
 set -euo pipefail
@@ -42,6 +43,7 @@ python tools/bench_lint.py --check
 
 echo "== 5/6 fault-campaign reproducibility smoke =="
 python -m repro inject --builtin modem --trials 8 --seed 7 --check
+python -m repro inject --builtin modem --trials 8 --seed 7 --recovery full --check
 
 echo "== 6/6 DSE sweep reproducibility smoke =="
 SWEEP_ARGS="--techs asic,morphosys --workloads interleaved --accels fir,xtea --frames 1"
