@@ -49,11 +49,11 @@ class Arbiter:
         self._queue: List[Tuple[str, int, int, Event]] = []
         self._rr_order: List[str] = []
         self._rr_index = 0
-        # Grant-event pool, one per requester label.  A label can have at
-        # most one outstanding request (the requesting thread is blocked on
-        # it), and immediate notifications leave no state behind, so the
-        # event is inert again by the time the label re-requests.
-        self._grant_pool: Dict[str, Event] = {}
+        # A spare grant event per requester label.  Every queued request
+        # takes its own event (two requesters may share a label), and an
+        # event comes back here once its request is granted or withdrawn:
+        # immediate notifications leave no state behind, so it is inert.
+        self._spare_grants: Dict[str, Event] = {}
         self.grant_count = 0
         self.contention_count = 0
 
@@ -83,12 +83,14 @@ class Arbiter:
 
     def request(self, label: str, priority: int = 0):
         """Blocking request for ownership (generator; use with ``yield from``)."""
-        if self.owner is None and not self._queue:
-            self.owner = label
-            self.grant_count += 1
-            self._note_requester(label)
+        if self.try_acquire(label):
             return
-        yield self.enqueue(label, priority)
+        grant = self.enqueue(label, priority)
+        try:
+            yield grant
+        except GeneratorExit:
+            self.withdraw(label, grant)
+            raise
         # The grant handler has already set self.owner = label.
 
     def enqueue(self, label: str, priority: int = 0) -> Event:
@@ -97,18 +99,32 @@ class Arbiter:
         The transfer path yields the returned event directly (after a
         failed :meth:`try_acquire`) instead of delegating into the
         :meth:`request` generator, saving a frame per contended transfer.
-        When the event fires, ownership has already been transferred.
+        When the event fires, ownership has already been transferred.  The
+        event belongs to this request alone; a requester killed while it
+        waits must :meth:`withdraw` it.
         """
         self.contention_count += 1
         self._note_requester(label)
         self._seq += 1
-        grant = self._grant_pool.get(label)
+        grant = self._spare_grants.pop(label, None)
         if grant is None:
-            grant = self._grant_pool[label] = Event(
-                self.sim, f"{self.name}.grant.{label}"
-            )
+            grant = Event(self.sim, f"{self.name}.grant.{label}")
         self._queue.append((label, priority, self._seq, grant))
         return grant
+
+    def withdraw(self, label: str, grant: Event) -> None:
+        """Retract the request behind ``grant``: its requester was killed.
+
+        A request still queued leaves the queue.  One already granted —
+        the requester died between the grant and its resumption — passes
+        the bus on, so a dead requester never keeps it.
+        """
+        for index, entry in enumerate(self._queue):
+            if entry[3] is grant:
+                del self._queue[index]
+                self._spare_grants[label] = grant
+                return
+        self.release(label)
 
     def release(self, label: Optional[str] = None) -> None:
         """Release ownership and grant the next requester per policy."""
@@ -126,6 +142,7 @@ class Arbiter:
         self.owner = winner
         self.grant_count += 1
         grant.notify()  # immediate: winner resumes in this evaluation phase
+        self._spare_grants[winner] = grant
 
     # -- policy selection ------------------------------------------------------
     def _select_next(self) -> int:

@@ -19,12 +19,25 @@ hinges on the difference:
     released while the slave processes.  This models the split-transaction
     requirement the paper states for sharing the context-memory bus with
     the component interface bus.
+
+Every transfer runs through one loop, :meth:`Bus._transfer`, which moves
+``count`` words in bursts: ``Bus.read(..., burst=n)`` issues a *burst
+train* (the DRCF's configuration fetch), and a plain read or write is the
+loop's one-iteration case.  Each burst is issued, arbitrated, decoded
+after its grant, timed phase by phase and recorded as its own
+:class:`Transaction`, exactly like a separate read; :class:`Memory` slaves
+are read as "latency, then sample" by the loop itself, so a burst builds
+no slave generator.  Inside a train each phase wait first asks
+:meth:`Simulator.advance_alone <repro.kernel.Simulator.advance_alone>`,
+which advances simulated time in place while no other process could run
+or observe the kernel before the wake (docs/KERNEL.md, "In-place advance
+for burst trains"); single transfers keep their kernel round trip.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
 from .arbiter import Arbiter
@@ -35,6 +48,7 @@ from .interfaces import (
     check_range,
     normalize_write_data,
 )
+from .memory import Memory
 from .monitor import BusMonitor
 
 #: Supported bus protocols.
@@ -87,7 +101,7 @@ class Bus(Module, BusMasterIf):
         self.monitor = BusMonitor(name=f"{self.full_name}.monitor")
         self._slaves: List[BusSlaveIf] = []
         self._priorities: Dict[str, int] = {}
-        # One-entry decode cache: (low, high, slave) of the last hit,
+        # One-entry decode cache: (low, high, route) of the last hit,
         # invalidated whenever the slave map changes, so a hit is always a
         # registered slave.  Bounds are snapshotted to skip the interface
         # method calls on the hot path (slave ranges are fixed; DRCF
@@ -141,14 +155,20 @@ class Bus(Module, BusMasterIf):
 
     def decode(self, addr: int) -> BusSlaveIf:
         """The slave whose range contains ``addr``."""
+        return self._route(addr)[0]
+
+    def _route(self, addr: int) -> Tuple[BusSlaveIf, Optional[Memory]]:
+        """``(slave, memory)`` for ``addr``; ``memory`` is the slave when it
+        is a :class:`Memory`, which the transfer loop reads itself."""
         cached = self._decode_cache
         if cached is not None and cached[0] <= addr <= cached[1]:
             return cached[2]
         for slave in self._slaves:
             low, high = slave.get_low_add(), slave.get_high_add()
             if low <= addr <= high:
-                self._decode_cache = (low, high, slave)
-                return slave
+                route = (slave, slave if isinstance(slave, Memory) else None)
+                self._decode_cache = (low, high, route)
+                return route
         raise SimulationError(f"bus {self.full_name}: no slave decodes address {addr:#x}")
 
     # -- timing helpers ------------------------------------------------------------
@@ -164,15 +184,31 @@ class Bus(Module, BusMasterIf):
         return self.cycles(self.address_phase_cycles + words * self.cycles_per_word)
 
     # -- BusMasterIf -------------------------------------------------------------
-    def read(self, addr: int, count: int = 1, master: str = "?", tags: Sequence[str] = ()):
+    def read(
+        self,
+        addr: int,
+        count: int = 1,
+        master: str = "?",
+        tags: Sequence[str] = (),
+        burst: Optional[int] = None,
+    ):
         """Arbitrated burst read (use with ``yield from``). Returns a list of words.
+
+        ``burst`` splits the read into a *burst train*: successive
+        transfers of at most ``burst`` words, each arbitrated, timed and
+        recorded on its own exactly like a separate read of that burst
+        (see :meth:`_transfer`).  By default the read is one transfer.
 
         Validates eagerly and returns the transfer generator directly, so
         each resume walks one frame less of delegation.
         """
         if count <= 0:
             raise SimulationError("burst read count must be positive")
-        return self._transfer("read", addr, count, None, master, tags)
+        if burst is None:
+            burst = count
+        elif burst <= 0:
+            raise SimulationError("burst length must be positive")
+        return self._transfer("read", addr, count, None, master, tags, burst)
 
     def write(
         self,
@@ -185,7 +221,7 @@ class Bus(Module, BusMasterIf):
         words = normalize_write_data(data)
         if not words:
             raise SimulationError("burst write needs at least one word")
-        return self._transfer("write", addr, len(words), words, master, tags)
+        return self._transfer("write", addr, len(words), words, master, tags, len(words))
 
     # -- core transfer ----------------------------------------------------------------
     def _transfer(
@@ -196,76 +232,118 @@ class Bus(Module, BusMasterIf):
         payload: Optional[List[int]],
         master: str,
         tags: Sequence[str],
+        burst: int,
     ):
+        """The transfer loop: ``count`` words in bursts of at most ``burst``.
+
+        Each burst is issued, arbitrated, decoded after its grant, timed
+        phase by phase and recorded as one :class:`Transaction`; a single
+        transfer is the one-iteration case.  :class:`Memory` slaves are
+        read as "latency, then sample" in the loop itself.  In a train of
+        several bursts, each phase wait first tries
+        :meth:`Simulator.advance_alone`, which advances simulated time in
+        place while no other process could run or observe the kernel
+        before the wake; otherwise the wait goes through the kernel.
+        """
         sim = self.sim
-        issued_at = sim.now
-        priority = self._priorities.get(master, 0)
-        self.decode(addr)  # decode errors surface before arbitration
         arbiter = self.arbiter
-        if arbiter.try_acquire(master):
-            granted_at = issued_at  # uncontended: granted in the same instant
+        priority = self._priorities.get(master, 0)
+        split = self.protocol == "split"
+        address_phase = self.cycles(self.address_phase_cycles)
+        request_beat = self.cycles(1) if split else None
+        train = count > burst
+        if train:
+            advance = sim.advance_alone
+            stride = burst * self.word_bytes
+            words: List[int] = []
         else:
-            yield arbiter.enqueue(master, priority)
-            granted_at = sim.now
-        # Decode again now that the grant is held: the DRCF model
-        # transformation may have swapped the slave map while this master
-        # waited out arbitration, and the transfer must target the map
-        # that is current at grant time.
-        slave = self.decode(addr)
-        data: Optional[List[int]] = None
-        status: Optional[str] = "ok"
-        try:
-            yield self.cycles(self.address_phase_cycles)
-            if self.protocol == "blocking":
-                if kind == "read":
-                    data = yield from slave.read(addr, count)
-                else:
-                    yield from slave.write(
-                        addr, payload if len(payload) > 1 else payload[0]
-                    )
-                yield self.cycles(count * self.cycles_per_word)
+            advance = None
+        while True:
+            n = burst if count > burst else count
+            issued_at = sim.now
+            self._route(addr)  # decode errors surface before arbitration
+            if arbiter.try_acquire(master):
+                granted_at = issued_at  # uncontended: granted in the same instant
             else:
-                # Split: release the bus while the slave processes.
-                yield self.cycles(1)  # request transfer beat
-                arbiter.release(master)
-                if kind == "read":
-                    data = yield from slave.read(addr, count)
+                grant = arbiter.enqueue(master, priority)
+                try:
+                    yield grant
+                except GeneratorExit:
+                    arbiter.withdraw(master, grant)  # killed while queued
+                    raise
+                granted_at = sim.now
+            held = True
+            # Decode again now that the grant is held: the DRCF model
+            # transformation may have swapped the slave map while this master
+            # waited out arbitration, and the transfer must target the map
+            # that is current at grant time.
+            slave, memory = self._route(addr)
+            status: Optional[str] = "ok"
+            try:
+                if advance is None or not advance(address_phase):
+                    yield address_phase
+                if split:
+                    # Split: release the bus while the slave processes.
+                    if advance is None or not advance(request_beat):
+                        yield request_beat
+                    arbiter.release(master)
+                    held = False
+                if kind != "read":
+                    yield from slave.write(addr, payload if n > 1 else payload[0])
+                elif memory is not None:
+                    index, wait = memory._read_latency(addr, n)
+                    if advance is None or not advance(wait):
+                        yield wait
+                    data = memory._read_sample(addr, index, n)
                 else:
-                    yield from slave.write(
-                        addr, payload if len(payload) > 1 else payload[0]
+                    data = yield from slave.read(addr, n)
+                if split:
+                    if not arbiter.try_acquire(master):
+                        grant = arbiter.enqueue(master, priority)
+                        try:
+                            yield grant
+                        except GeneratorExit:
+                            arbiter.withdraw(master, grant)
+                            raise
+                    held = True
+                wait = self.cycles(n * self.cycles_per_word)
+                if advance is None or not advance(wait):
+                    yield wait
+            except GeneratorExit:
+                status = None  # master killed mid-transfer: nothing completed
+                raise
+            except BaseException:
+                status = "error"
+                raise
+            finally:
+                if held:
+                    arbiter.release(master)
+                if status is not None:
+                    # Failed slave calls are recorded too (status="error"):
+                    # they occupied the bus until the failure point, and
+                    # silently dropping them would corrupt the monitor's
+                    # occupancy and contention accounting.
+                    self.monitor.record(
+                        Transaction(
+                            kind=kind,
+                            master=master,
+                            slave=self._slave_name(slave),
+                            addr=addr,
+                            words=n,
+                            issued_at=issued_at,
+                            granted_at=granted_at,
+                            completed_at=sim.now,
+                            tags=list(tags),
+                            status=status,
+                        )
                     )
-                if not arbiter.try_acquire(master):
-                    yield arbiter.enqueue(master, priority)
-                yield self.cycles(count * self.cycles_per_word)
-        except GeneratorExit:
-            status = None  # master killed mid-transfer: nothing completed
-            raise
-        except BaseException:
-            status = "error"
-            raise
-        finally:
-            if arbiter.owner == master:
-                arbiter.release(master)
-            if status is not None:
-                # Failed slave calls are recorded too (status="error"):
-                # they occupied the bus until the failure point, and
-                # silently dropping them would corrupt the monitor's
-                # occupancy and contention accounting.
-                self.monitor.record(
-                    Transaction(
-                        kind=kind,
-                        master=master,
-                        slave=self._slave_name(slave),
-                        addr=addr,
-                        words=count,
-                        issued_at=issued_at,
-                        granted_at=granted_at,
-                        completed_at=sim.now,
-                        tags=list(tags),
-                        status=status,
-                    )
-                )
-        return data if kind == "read" else True
+            if not train:
+                return data if kind == "read" else True
+            words += data
+            count -= n
+            if not count:
+                return words
+            addr += stride
 
     @staticmethod
     def _slave_name(slave: BusSlaveIf) -> str:

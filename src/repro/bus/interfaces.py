@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import List, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from ..kernel import Interface, SimTime
 
@@ -60,11 +60,28 @@ class BusMasterIf(Interface):
     """
 
     @abc.abstractmethod
-    def read(self, addr: int, count: int = 1, master: str = "?"):
-        """Arbitrate, decode and perform a burst read (generator)."""
+    def read(
+        self,
+        addr: int,
+        count: int = 1,
+        master: str = "?",
+        tags: Sequence[str] = (),
+        burst: Optional[int] = None,
+    ):
+        """Arbitrate, decode and perform a burst read (generator).
+
+        With ``burst``, the read is a train of transfers of at most
+        ``burst`` words each, arbitrated and recorded one by one.
+        """
 
     @abc.abstractmethod
-    def write(self, addr: int, data: Union[int, Sequence[int]], master: str = "?"):
+    def write(
+        self,
+        addr: int,
+        data: Union[int, Sequence[int]],
+        master: str = "?",
+        tags: Sequence[str] = (),
+    ):
         """Arbitrate, decode and perform a burst write (generator)."""
 
 

@@ -13,6 +13,15 @@ slices.  Every store mutation (bus write, :meth:`Memory.poke`, upset
 injection, scrub repair) goes through one helper that bumps the memory's
 write :attr:`~Memory.generation`.
 
+A burst read is "latency, then sample": ``_read_latency`` validates the
+burst and returns its first-access-plus-streaming time, and
+``_read_sample`` takes the words (through the fault hook) once that time
+has passed.  :meth:`Memory.read` is those two steps around one wait, and
+the bus's transfer loop (:mod:`repro.bus.bus`) drives the same two steps
+itself, so a read over the bus builds no memory generator.  A subclass
+changes what a read returns by overriding ``_read_sample``, as
+:class:`ConfigMemory` does, not ``read``.
+
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
 region can be asserted against in tests.  Its integrity verdict
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..kernel import Module, SimulationError, cycles_to_time
+from ..kernel import Module, SimTime, SimulationError, cycles_to_time
 from .interfaces import BusSlaveIf, normalize_write_data
 
 #: FNV-1a offset/prime (32-bit) for bitstream checksums.
@@ -131,7 +140,7 @@ class Memory(Module, BusSlaveIf):
         self.write_word_count = 0
         # Burst-size -> SimTime cache: workloads issue the same burst
         # lengths over and over, and SimTime construction is pure.
-        self._burst_cache: Dict[int, object] = {}
+        self._burst_cache: Dict[int, SimTime] = {}
 
     # -- BusSlaveIf ----------------------------------------------------------
     def get_low_add(self) -> int:
@@ -150,9 +159,21 @@ class Memory(Module, BusSlaveIf):
         return t
 
     def read(self, addr: int, count: int = 1):
-        """Burst read (generator); returns ``count`` words."""
-        index = self._index(addr, count)
-        yield self._burst_time(count)
+        """Burst read (generator); returns ``count`` words.
+
+        "Latency, then sample" (see the module docstring); the bus's
+        transfer loop drives the same two steps without this generator.
+        """
+        index, latency = self._read_latency(addr, count)
+        yield latency
+        return self._read_sample(addr, index, count)
+
+    def _read_latency(self, addr: int, count: int) -> Tuple[int, SimTime]:
+        """Validate a burst read: its first word index and its latency."""
+        return self._index(addr, count), self._burst_time(count)
+
+    def _read_sample(self, addr: int, index: int, count: int) -> List[int]:
+        """The burst's words, sampled when its latency has elapsed."""
         self.read_word_count += count
         data = self._load(index, count)
         hook = self.fault_hook
@@ -366,8 +387,13 @@ class ConfigMemory(Memory):
             self._verdicts[context_name] = (self.generation, clean)
         return clean
 
-    def read(self, addr: int, count: int = 1):
-        data = yield from super().read(addr, count)
+    #: Memory's read; only the sample step differs (transient errors).
+    read = Memory.read
+
+    def _read_sample(self, addr: int, index: int, count: int) -> List[int]:
+        data = super()._read_sample(addr, index, count)
+        if not self._transient_errors:
+            return data
         region = self.context_for_address(addr)
         if region is not None and self._transient_errors.get(region, 0) > 0:
             self._transient_errors[region] -= 1

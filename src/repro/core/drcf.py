@@ -333,6 +333,12 @@ class Drcf(Module, BusSlaveIf):
     def _fetch_config(self, config_addr: int, n_words: int, context_name: str):
         """Read a bitstream from configuration memory in bursts (generator).
 
+        Each attempt is one bus request: a burst train of
+        ``config_burst_words``-word bursts that the bus re-arbitrates and
+        records burst by burst, exactly like separate burst reads, and
+        advances through in place while nothing else can run (see
+        :meth:`repro.bus.Bus.read`).
+
         Returns the number of words actually fetched over the bus (0 when
         the on-chip bitstream cache hit; the configuration-port programming
         time still applies, charged by the scheduler).
@@ -394,20 +400,13 @@ class Drcf(Module, BusSlaveIf):
                     # No timeout armed (or it is longer than the wedge):
                     # the transfer simply stalls for the fault's duration.
                     yield stuck
-            bitstream = []
-            remaining = n_words
-            addr = config_addr
-            while remaining > 0:
-                chunk = min(self.config_burst_words, remaining)
-                data = yield from self.mst_port.read(
-                    addr,
-                    chunk,
-                    master=self.full_name,
-                    tags=["config", context_name],
-                )
-                bitstream.extend(data)
-                addr += chunk * self.word_bytes
-                remaining -= chunk
+            bitstream = yield from self.mst_port.read(
+                config_addr,
+                n_words,
+                master=self.full_name,
+                tags=["config", context_name],
+                burst=self.config_burst_words,
+            )
             total_fetched += n_words
             if hook is not None:
                 bitstream = hook.filter_bitstream(

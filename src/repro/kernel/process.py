@@ -302,6 +302,11 @@ class ThreadProcess(Process):
 
     kind = "thread"
 
+    #: True on the compiled-thread runtime (:mod:`repro.kernel.specialize`),
+    #: which counts each timed wait it serves in
+    #: ``stats.compiled_thread_waits``.
+    compiled = False
+
     __slots__ = ("_fn", "_gen", "_handle", "_resume_value", "_wait_handle")
 
     @property

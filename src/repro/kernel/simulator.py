@@ -37,6 +37,11 @@ readers commit immediately (skipping the update-queue round trip and
 delta notification), and the sensitive method processes run in a
 topologically ranked wave inside the same evaluation phase.  Designs the
 analysis cannot fully resolve fall back wholesale to the generic path.
+
+A thread that is alone on the timeline may also wait without leaving
+its generator: :meth:`Simulator.advance_alone` advances time in place
+and books the round trip it skipped, so nothing observable changes.  The
+bus uses it inside burst trains (see docs/KERNEL.md).
 """
 
 from __future__ import annotations
@@ -71,6 +76,24 @@ class TimedAction:
         return (self.time_fs, self.seq) < (other.time_fs, other.seq)
 
 
+class _RunState:
+    """What :meth:`Simulator.advance_alone` must respect in the current run:
+    its end, the watchdog's deadline, and ``delta_cycles`` at the last
+    in-place advance, where the per-instant delta guard restarts.
+
+    One attribute on the simulator, not three: CPython 3.11 stops sharing
+    an instance's attribute keys past 29 attributes, and the slower dict
+    it falls back to taxes every attribute read of the scheduler loop.
+    """
+
+    __slots__ = ("until_fs", "wall_deadline", "advanced_at_delta")
+
+    def __init__(self, until_fs: Optional[int], wall_deadline: Optional[float], delta: int) -> None:
+        self.until_fs = until_fs
+        self.wall_deadline = wall_deadline
+        self.advanced_at_delta = delta
+
+
 class SimulatorStats:
     """Bookkeeping counters exposed by :attr:`Simulator.stats`."""
 
@@ -82,6 +105,7 @@ class SimulatorStats:
         "specialized_commits",
         "register_commits",
         "compiled_thread_waits",
+        "in_place_advances",
     )
 
     def __init__(self) -> None:
@@ -107,6 +131,11 @@ class SimulatorStats:
         #: direct-dispatch slot, both skipping the generic WaitHandle
         #: machinery.  Always 0 on the generic path.
         self.compiled_thread_waits = 0
+        #: Timed waits a burst train advanced in place instead of yielding
+        #: (:meth:`Simulator.advance_alone`); each is also counted in
+        #: ``timed_activations`` and ``process_executions``, as the kernel
+        #: round trip would have been.
+        self.in_place_advances = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain dictionary (for reports)."""
@@ -118,6 +147,7 @@ class SimulatorStats:
             "specialized_commits": self.specialized_commits,
             "register_commits": self.register_commits,
             "compiled_thread_waits": self.compiled_thread_waits,
+            "in_place_advances": self.in_place_advances,
         }
 
 
@@ -172,6 +202,7 @@ class Simulator:
         #: specialized, or when specialization was never attempted).
         self.specialize_fallback_reasons: List[str] = []
         self.stats = SimulatorStats()
+        self._run_state = _RunState(None, None, 0)
         #: Called with the current time once per finished instant (after the
         #: last delta cycle at that timestamp, before time advances).
         self.trace_hooks: List[Callable[[SimTime], None]] = []
@@ -380,12 +411,16 @@ class Simulator:
             time.monotonic() + max_wall_s if max_wall_s is not None else None
         )
         until_fs = until.femtoseconds if until is not None else None
+        stats = self.stats
+        self._run_state = run_state = _RunState(until_fs, wall_deadline, stats.delta_cycles)
         deltas_this_instant = 0
         instant_active = False  # anything happened at the current instant?
-        hooks_fired = False  # trace hooks already ran at the current instant?
+        # ``timed_activations`` when the trace hooks last fired: every new
+        # instant (a timed pop or an in-place advance) counts one, so hooks
+        # fire at most once per instant.
+        hooks_fired_at = -1
         runnable = self._runnable
         timed_heap = self._timed_heap
-        stats = self.stats
         heappush, heappop = heapq.heappush, heapq.heappop
         try:
             while not self._stop_requested:
@@ -462,7 +497,12 @@ class Simulator:
                 if runnable:
                     stats.delta_cycles += 1
                     deltas_this_instant += 1
-                    if deltas_this_instant > max_deltas_per_instant:
+                    if (
+                        deltas_this_instant > max_deltas_per_instant
+                        # An in-place advance began a new instant since.
+                        and stats.delta_cycles - run_state.advanced_at_delta
+                        > max_deltas_per_instant
+                    ):
                         raise SchedulingError(
                             f"more than {max_deltas_per_instant} delta cycles at "
                             f"time {self.now}; combinational loop?"
@@ -475,11 +515,11 @@ class Simulator:
                 # The instant has settled: trace it, then advance time.
                 if instant_active:
                     instant_active = False
-                    if self.trace_hooks and not hooks_fired:
+                    if self.trace_hooks and hooks_fired_at != stats.timed_activations:
                         # Once per finished instant: activity a hook injects
                         # re-settles at this instant but is NOT re-traced
                         # (its effects are visible at the next firing).
-                        hooks_fired = True
+                        hooks_fired_at = stats.timed_activations
                         now_obj = self.now
                         for hook in self.trace_hooks:
                             hook(now_obj)
@@ -507,7 +547,6 @@ class Simulator:
                     self._now_fs = until_fs
                     break
                 self._now_fs = now_fs = next_action.time_fs
-                hooks_fired = False
                 stats.timed_activations += 1
                 instant_active = True
                 next_action.callback()
@@ -529,6 +568,79 @@ class Simulator:
                     f"simulation starved at {self.now} with blocked processes: {names}"
                 )
         return self.now
+
+    # -- in-place advance (burst trains) ------------------------------------------
+    def alone_until(self, wake_fs: int) -> bool:
+        """Is the running process alone on the timeline up to ``wake_fs``?
+
+        True when a timed wait of the running thread until ``wake_fs``
+        would be the next and only thing the kernel does: nothing is
+        runnable; no update, delta notification or static-schedule mark is
+        pending; no trace hook is attached; no live timed action is queued
+        at or before ``wake_fs``; the wake is within the run's ``until``;
+        no stop is requested; and the watchdog is not due for a check.
+        Always False outside a process execution.
+
+        Cancelled timed actions at the front of the queue are discarded on
+        the way, as the timed phase would discard them.
+        """
+        process = self.current_process
+        if (
+            process is None
+            or process.kind != "thread"
+            or process.state is not ProcessState.RUNNING
+            or self._runnable
+            or self._update_queue
+            or self._delta_events
+            or self._pending_count
+            or self.trace_hooks
+            or self._stop_requested
+        ):
+            return False
+        if wake_fs < self._now_fs:
+            return False  # the round trip raises the scheduling error
+        heap = self._timed_heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+        if heap and heap[0].time_fs <= wake_fs:
+            return False
+        run_state = self._run_state
+        if run_state.until_fs is not None and wake_fs > run_state.until_fs:
+            return False
+        if run_state.wall_deadline is not None:
+            # The round trip would check the watchdog after this execution
+            # and before the timed pop; let it, whenever a check is due.
+            stats = self.stats
+            if not (stats.process_executions & 0xFF and stats.timed_activations & 0xFF):
+                return False
+        return True
+
+    def advance_alone(self, delay: SimTime) -> bool:
+        """Wait ``delay`` in place if the running process is alone until then.
+
+        When :meth:`alone_until` holds for the wake time, time advances
+        there without leaving the process, and the books record what the
+        kernel round trip would have: the timeout's sequence number, one
+        timed activation (which also opens a new instant for the trace
+        hooks), one process execution (and a compiled-thread wait for a
+        compiled thread), and a restart of the per-instant delta guard.
+        Returns False, with no observable effect, when the wait must be
+        yielded to the kernel instead.  See docs/KERNEL.md, "In-place
+        advance for burst trains".
+        """
+        wake_fs = self._now_fs + delay._fs
+        if not self.alone_until(wake_fs):
+            return False
+        stats = self.stats
+        self._seq += 1
+        stats.timed_activations += 1
+        stats.process_executions += 1
+        stats.in_place_advances += 1
+        if self.current_process.compiled:
+            stats.compiled_thread_waits += 1
+        self._now_fs = wake_fs
+        self._run_state.advanced_at_delta = stats.delta_cycles
+        return True
 
     def _trip_watchdog(self, max_wall_s: float) -> None:
         """Stop the run: the wall-clock budget is exhausted.

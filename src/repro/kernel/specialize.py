@@ -217,6 +217,8 @@ class _CompiledThread(ThreadProcess):
 
     __slots__ = ()
 
+    compiled = True
+
     def _execute(self) -> None:
         if self.state is _TERMINATED:
             return

@@ -168,6 +168,55 @@ class TestTryAcquire:
         )
 
 
+class TestKilledRequesters:
+    """A requester killed while it waits leaves no trace in the arbiter."""
+
+    def _scenario(self, sim, kill_after):
+        arbiter = Arbiter(sim, "fifo", "a")
+        order = []
+        sim.spawn("x", contender(sim, arbiter, "x", order, hold=10))
+        victim = sim.spawn("y", contender(sim, arbiter, "y", order))
+
+        def late():
+            yield ns(50)
+            yield from arbiter.request("z")
+            order.append(("z", sim.now.to_ns()))
+            arbiter.release("z")
+
+        sim.spawn("z", late)
+
+        def killer():
+            for delay in kill_after:
+                yield delay
+            victim.kill()
+
+        sim.spawn("killer", killer)
+        sim.run()
+        return arbiter, order
+
+    def test_killed_while_queued_withdraws_its_request(self, sim):
+        arbiter, order = self._scenario(sim, [ns(5)])
+        assert order == [("x", 0.0), ("z", 50.0)]
+        assert arbiter.owner is None
+        assert arbiter.waiters == []
+
+    def test_killed_after_grant_passes_ownership_on(self, sim):
+        # x releases at 10 ns and grants y; the killer, armed after x's
+        # wait, runs next in the same instant and kills y before it resumes.
+        arbiter, order = self._scenario(sim, [ns(5), ns(5)])
+        assert order == [("x", 0.0), ("z", 50.0)]
+        assert arbiter.owner is None
+
+    def test_shared_label_requesters_get_separate_grants(self, sim):
+        arbiter = Arbiter(sim, "fifo", "a")
+        order = []
+        for name in ("p", "q", "r"):
+            sim.spawn(name, contender(sim, arbiter, "same", order, hold=10))
+        sim.run()
+        assert [t for _, t in order] == [0.0, 10.0, 20.0]
+        assert arbiter.owner is None
+
+
 class TestErrors:
     def test_unknown_policy(self, sim):
         with pytest.raises(ValueError, match="unknown arbitration policy"):

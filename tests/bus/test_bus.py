@@ -378,6 +378,192 @@ class TestErrorTransactions:
         assert bus.arbiter.owner is None
 
 
+def _txn_tuples(bus):
+    return [
+        (t.kind, t.master, t.addr, t.words, t.issued_at, t.granted_at, t.completed_at, t.tags, t.status)
+        for t in bus.monitor.transactions
+    ]
+
+
+class TestBurstTrain:
+    """``Bus.read(..., burst=n)``: one request, one recorded transfer per burst."""
+
+    def test_train_records_one_transaction_per_burst(self, sim):
+        bus, mem = make_system(sim)
+        mem.poke(0x1000, list(range(100)))
+
+        def body():
+            data = yield from bus.read(0x1000, 100, master="cfg", tags=["config"], burst=32)
+            return data
+
+        box = drive(sim, body)
+        sim.run()
+        assert box.value == list(range(100))
+        assert [(t.addr, t.words) for t in bus.monitor.transactions] == [
+            (0x1000, 32), (0x1080, 32), (0x1100, 32), (0x1180, 4)
+        ]
+        assert all(t.tags == ["config"] for t in bus.monitor.transactions)
+        assert mem.read_word_count == 100
+
+    @pytest.mark.parametrize("protocol", ["blocking", "split"])
+    def test_train_matches_separate_burst_reads(self, protocol):
+        """A train is timed, arbitrated and counted exactly like a loop
+        of separate reads, with a second master contending throughout."""
+        runs = {}
+        for use_train in (True, False):
+            sim = Simulator()
+            bus, mem = make_system(sim, protocol=protocol)
+            mem.poke(0x1000, list(range(200)))
+
+            def fetcher():
+                if use_train:
+                    data = yield from bus.read(0x1000, 200, master="cfg", burst=64)
+                else:
+                    data = []
+                    for start in range(0, 200, 64):
+                        chunk = min(64, 200 - start)
+                        data += yield from bus.read(0x1000 + 4 * start, chunk, master="cfg")
+                return data
+
+            def other():
+                for _ in range(6):
+                    yield ns(130)
+                    yield from bus.write(0x1300, [1, 2, 3], master="cpu")
+
+            box = drive(sim, fetcher, name="fetcher")
+            sim.spawn("cpu", other)
+            sim.run()
+            stats = sim.stats.as_dict()
+            advances = stats.pop("in_place_advances")
+            runs[use_train] = (box.value, _txn_tuples(bus), stats, sim.now)
+            if not use_train:
+                assert advances == 0  # single-burst reads keep the round trip
+        assert runs[True] == runs[False]
+
+    def test_single_burst_keeps_kernel_round_trip(self, sim):
+        bus, _ = make_system(sim)
+
+        def body():
+            yield from bus.read(0x1000, 64, master="cpu", burst=64)
+
+        sim.spawn("p", body)
+        sim.run()
+        assert sim.stats.in_place_advances == 0
+        assert sim.stats.timed_activations == 3  # address, memory, data
+
+    def test_uncontended_train_advances_every_phase_in_place(self, sim):
+        bus, _ = make_system(sim, protocol="split")
+
+        def body():
+            yield from bus.read(0x1000, 40, master="cpu", burst=8)
+
+        sim.spawn("p", body)
+        sim.run()
+        # 5 bursts x 4 phases (address, request beat, memory, data).
+        assert sim.stats.in_place_advances == 20
+        assert sim.stats.timed_activations == 20
+
+    def test_trace_hook_disables_in_place_advance(self, sim):
+        bus, _ = make_system(sim)
+        sim.trace_hooks.append(lambda now: None)
+
+        def body():
+            yield from bus.read(0x1000, 40, master="cpu", burst=8)
+
+        sim.spawn("p", body)
+        sim.run()
+        assert sim.stats.in_place_advances == 0
+        assert sim.stats.timed_activations == 15
+
+    def test_non_positive_burst_rejected(self, sim):
+        bus, _ = make_system(sim)
+        with pytest.raises(SimulationError, match="burst length"):
+            bus.read(0x1000, 8, burst=0)
+
+
+class TestKilledWhileQueued:
+    """A master killed while it waits for the bus must not wedge it: its
+    queue entry goes, and a grant it never resumed to passes on."""
+
+    def _run(self, sim, protocol, kill_after):
+        bus, _ = make_system(sim, protocol=protocol, mem_latency=50)
+        done = {}
+
+        def master(label, start):
+            def body():
+                yield start
+                yield from bus.read(0x1000, 8, master=label)
+                done[label] = sim.now.to_ns()
+
+            return body
+
+        sim.spawn("A", master("A", ZERO_TIME))
+        victim = sim.spawn("B", master("B", ns(5)))
+        sim.spawn("C", master("C", us(2)))
+
+        def killer():
+            for delay in kill_after:
+                yield delay
+            victim.kill()
+
+        sim.spawn("killer", killer)
+        sim.run()
+        return bus, done
+
+    @pytest.mark.parametrize("protocol", ["blocking", "split"])
+    def test_killed_queued_master_does_not_wedge_the_bus(self, sim, protocol):
+        bus, done = self._run(sim, protocol, [ns(20)])
+        assert set(done) == {"A", "C"}
+        assert bus.arbiter.owner is None
+        assert bus.arbiter.waiters == []
+        assert [t.master for t in bus.monitor.transactions] == ["A", "C"]
+
+    def test_master_killed_after_its_grant_passes_the_bus_on(self, sim):
+        # Blocking: A releases at 660 ns and grants B; the killer wakes in
+        # the same instant right after A (its wait was armed later), so B
+        # dies holding a grant it never resumed to.
+        bus, done = self._run(sim, "blocking", [ns(600), ns(60)])
+        assert set(done) == {"A", "C"}
+        assert bus.arbiter.owner is None
+        assert [t.master for t in bus.monitor.transactions] == ["A", "C"]
+
+    def test_master_killed_queued_for_split_reacquire(self, sim):
+        # Split: B holds the bus for its request at 20-40 ns, its memory
+        # wait ends at 610 ns while A re-holds the bus (590-670 ns), so B
+        # is queued to re-acquire when it is killed at 640 ns.
+        bus, done = self._run(sim, "split", [ns(640)])
+        assert set(done) == {"A", "C"}
+        assert bus.arbiter.owner is None
+        assert bus.arbiter.waiters == []
+
+    def test_master_killed_after_split_reacquire_grant(self, sim):
+        bus, done = self._run(sim, "split", [ns(600), ns(70)])
+        assert set(done) == {"A", "C"}
+        assert bus.arbiter.owner is None
+
+
+class TestSharedMasterLabel:
+    """Requesters sharing a label (the default ``master="?"``) each wait
+    for their own grant: transfers on one bus never overlap."""
+
+    @pytest.mark.parametrize("protocol", ["blocking", "split"])
+    def test_transfers_never_overlap(self, sim, protocol):
+        bus, _ = make_system(sim, protocol=protocol, mem_latency=50)
+        for i in range(3):
+            sim.spawn(f"m{i}", lambda: (yield from bus.read(0x1000, 8)))
+        sim.run()
+        assert bus.monitor.transaction_count == 3
+        spans = sorted((t.granted_at, t.completed_at) for t in bus.monitor.transactions)
+        for (start, end), (next_start, _) in zip(spans, spans[1:]):
+            if protocol == "blocking":
+                assert next_start >= end  # the bus is held for the whole transfer
+            else:
+                # Split holds the bus for the address phase and request beat.
+                assert next_start - start >= bus.cycles(2)
+        assert bus.arbiter.owner is None
+        assert bus.arbiter.waiters == []
+
+
 class TestMonitorIntegration:
     def test_transactions_recorded_with_tags(self, sim):
         bus, _ = make_system(sim)

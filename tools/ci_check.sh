@@ -8,7 +8,8 @@
 #   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails;
 #      also asserts each specialized static-schedule workload stays above
 #      its floor — >=2x on method_chain, >=1.05x on clocked_pipeline) plus
-#      the generic-vs-specialized equivalence matrix
+#      the generic-vs-specialized equivalence matrix and the burst-train
+#      in-place-advance differential tests
 #   3. ruff check (skipped with a notice when ruff is not installed)
 #   4. static model lint over every example architecture, including the
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
@@ -26,9 +27,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== 1/6 tier-1 tests =="
 python -m pytest tests -q
 
-echo "== 2/6 kernel throughput + scheduler equivalence check =="
+echo "== 2/6 kernel throughput + scheduler and burst-train equivalence checks =="
 python tools/bench_kernel.py --check
-python -m pytest tests/integration/test_scheduler_equivalence.py -q
+python -m pytest tests/integration/test_scheduler_equivalence.py tests/integration/test_burst_train_equivalence.py -q
 
 echo "== 3/6 ruff =="
 if command -v ruff >/dev/null 2>&1; then
