@@ -6,14 +6,20 @@ two), so JOBSIZE is ``2·N`` words.  The implementation is a bit-exact
 integer decimation-in-time radix-2 FFT with Q14 twiddles and a one-bit
 right-shift per stage (block floating point style), so the executable
 specification and any mapped model agree word for word.
+
+All index bookkeeping lives in a plan built once per N (:func:`_plan`): the
+bit-reversed input order and, stage by stage, every butterfly's two indices
+with its twiddle.  :func:`fft_fixed` gathers its input through the first
+and runs one flat loop over the second, with the butterfly's integer
+expressions unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import List, Sequence, Tuple
 
-from ...kernel import BitVector
 from .base import Accelerator
 
 _TWIDDLE_Q = 14
@@ -29,14 +35,37 @@ def _twiddles(n: int) -> List[Tuple[int, int]]:
     return out
 
 
+# A plan holds (n/2)·log2(n) butterflies, so only a few are kept.
+@lru_cache(maxsize=8)
+def _plan(n: int) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int, int], ...]]:
+    """``(order, butterflies)`` of an ``n``-point transform (``n`` a power of two).
+
+    ``order[i]`` is ``i`` with its ``log2(n)`` bits reversed.  ``butterflies``
+    lists ``(i, j, w_re, w_im)`` in execution order: stage by stage, then by
+    group start, then by twiddle index.
+    """
+    order = [0]
+    while len(order) < n:
+        order = [2 * i for i in order] + [2 * i + 1 for i in order]
+    tw = _twiddles(n)
+    butterflies = []
+    half = 1
+    while half < n:
+        step = n // (2 * half)
+        for start in range(0, n, 2 * half):
+            for k in range(half):
+                butterflies.append((start + k, start + k + half, *tw[k * step]))
+        half *= 2
+    return tuple(order), tuple(butterflies)
+
+
 def bit_reverse_permute(values: Sequence, n_bits: int) -> List:
-    """Reorder ``values`` by bit-reversed index (radix-2 input ordering)."""
-    out = list(values)
-    for i in range(len(values)):
-        j = BitVector(i, n_bits).reversed_bits().unsigned
-        if j > i:
-            out[i], out[j] = out[j], out[i]
-    return out
+    """Reorder ``2**n_bits`` values by bit-reversed index (radix-2 input ordering)."""
+    if n_bits < 0 or len(values) != 1 << n_bits:
+        raise ValueError(
+            f"bit_reverse_permute needs 2**n_bits values, got {len(values)} for n_bits={n_bits}"
+        )
+    return [values[i] for i in _plan(1 << n_bits)[0]]
 
 
 def fft_fixed(interleaved: Sequence[int], n: int) -> List[int]:
@@ -50,30 +79,19 @@ def fft_fixed(interleaved: Sequence[int], n: int) -> List[int]:
         raise ValueError(f"FFT length must be a power of two >= 2, got {n}")
     if len(interleaved) < 2 * n:
         raise ValueError(f"need {2 * n} words for a {n}-point FFT")
-    n_bits = n.bit_length() - 1
-    re = [interleaved[2 * i] for i in range(n)]
-    im = [interleaved[2 * i + 1] for i in range(n)]
-    re = bit_reverse_permute(re, n_bits)
-    im = bit_reverse_permute(im, n_bits)
-    tw = _twiddles(n)
-    half = 1
-    while half < n:
-        step = n // (2 * half)
-        for start in range(0, n, 2 * half):
-            for k in range(half):
-                w_re, w_im = tw[k * step]
-                i, j = start + k, start + k + half
-                t_re = (re[j] * w_re - im[j] * w_im) >> _TWIDDLE_Q
-                t_im = (re[j] * w_im + im[j] * w_re) >> _TWIDDLE_Q
-                re[j] = (re[i] - t_re) >> 1
-                im[j] = (im[i] - t_im) >> 1
-                re[i] = (re[i] + t_re) >> 1
-                im[i] = (im[i] + t_im) >> 1
-        half *= 2
-    out: List[int] = []
-    for i in range(n):
-        out.append(re[i])
-        out.append(im[i])
+    order, butterflies = _plan(n)
+    re = [interleaved[2 * i] for i in order]
+    im = [interleaved[2 * i + 1] for i in order]
+    for i, j, w_re, w_im in butterflies:
+        t_re = (re[j] * w_re - im[j] * w_im) >> _TWIDDLE_Q
+        t_im = (re[j] * w_im + im[j] * w_re) >> _TWIDDLE_Q
+        re[j] = (re[i] - t_re) >> 1
+        im[j] = (im[i] - t_im) >> 1
+        re[i] = (re[i] + t_re) >> 1
+        im[i] = (im[i] + t_im) >> 1
+    out = [0] * (2 * n)
+    out[0::2] = re
+    out[1::2] = im
     return out
 
 

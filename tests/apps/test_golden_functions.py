@@ -71,6 +71,17 @@ class TestFft:
     def test_bit_reverse_permute(self):
         assert bit_reverse_permute(list(range(8)), 3) == [0, 4, 2, 6, 1, 5, 3, 7]
 
+    def test_bit_reverse_permute_needs_exactly_2_to_the_n_bits_values(self):
+        with pytest.raises(ValueError, match="got 8 for n_bits=2"):
+            bit_reverse_permute(list(range(8)), 2)
+        with pytest.raises(ValueError, match="got 2 for n_bits=3"):
+            bit_reverse_permute([0, 1], 3)
+        with pytest.raises(ValueError, match="got 0 for n_bits=-1"):
+            bit_reverse_permute([], -1)
+
+    def test_bit_reverse_permute_of_one_value_is_identity(self):
+        assert bit_reverse_permute(("x",), 0) == ["x"]
+
     def test_impulse_gives_flat_spectrum(self):
         n = 8
         data = [0] * (2 * n)
@@ -185,6 +196,10 @@ class TestViterbi:
     def test_too_few_symbols(self):
         with pytest.raises(ValueError):
             viterbi_decode([0] * 5, 10)
+
+    def test_negative_bit_count(self):
+        with pytest.raises(ValueError, match="negative"):
+            viterbi_decode(convolutional_encode([1, 0, 1]), -2)
 
 
 class TestXtea:

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.kernel import Simulator
+
+# ``pytest --hypothesis-profile=ci`` (tools/ci_check.sh) explores many more
+# examples than the default profile the tier-1 run uses.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 class Box:

@@ -13,11 +13,15 @@ before and after numbers of a change come from the same script:
 
 A record is keyed by (label, seed); measuring the same pair again replaces
 it.  The benchmark runs from the measured checkout's own ``perfbench/``.
+When tracked files differ from the revision, the record also stores
+``diff_sha1``, the SHA-1 of ``git diff HEAD`` without the output file,
+which tells measured uncommitted trees apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -33,10 +37,20 @@ SCHEMA = "bench-e2e/v1"
 RUNS = 3
 
 
-def git(repo: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", "-C", str(repo), *args], capture_output=True, text=True, check=True
-    ).stdout.strip()
+def git(repo: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(repo), *args], capture_output=True, check=True).stdout
+
+
+def uncommitted_diff(repo: Path, out: Path) -> bytes:
+    """``git diff HEAD`` of ``repo``, leaving out ``out`` when it lies inside.
+
+    The output file changes with every record, so including it would give
+    each record of one tree a different ``diff_sha1``.
+    """
+    paths = ["."]
+    if out.resolve().is_relative_to(repo):
+        paths.append(f":(exclude){out.resolve().relative_to(repo)}")
+    return git(repo, "diff", "HEAD", "--", *paths)
 
 
 def run_once(repo: Path, seed: int) -> dict:
@@ -84,15 +98,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     repo = args.repo.resolve()
+    diff = uncommitted_diff(repo, args.out)
     record = {
         "label": args.label,
         "seed": args.seed,
-        "revision": git(repo, "rev-parse", "HEAD"),
+        "revision": git(repo, "rev-parse", "HEAD").decode().strip(),
         # Tracked files differ from the revision: an uncommitted change.
-        "dirty": bool(git(repo, "status", "--porcelain", "--untracked-files=no")),
+        "dirty": bool(diff),
         "runs": RUNS,
     }
-    print(f"{args.label}: {record['revision'][:12]}{' (dirty)' if record['dirty'] else ''}, "
+    if diff:
+        record["diff_sha1"] = hashlib.sha1(diff).hexdigest()
+    dirty = f" (dirty, diff {record['diff_sha1'][:12]})" if record["dirty"] else ""
+    print(f"{args.label}: {record['revision'][:12]}{dirty}, "
           f"seed {args.seed}, {RUNS} runs")
     runs = []
     for i in range(RUNS):

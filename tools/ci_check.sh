@@ -4,7 +4,9 @@
 #     bash tools/ci_check.sh
 #
 # Steps:
-#   1. tier-1 test suite
+#   1. tier-1 test suite, then the golden-function differential tests
+#      (packed Viterbi/XTEA/FFT against their loop references) again under
+#      the `ci` hypothesis profile, which draws many more examples
 #   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails;
 #      also asserts each specialized static-schedule workload stays above
 #      its floor — >=2x on method_chain, >=1.05x on clocked_pipeline) plus
@@ -24,8 +26,9 @@ cd "$(dirname "$0")/.."
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== 1/6 tier-1 tests =="
+echo "== 1/6 tier-1 tests + golden-function differential tests (ci profile) =="
 python -m pytest tests -q
+python -m pytest tests/apps/test_golden_differential.py -q --hypothesis-profile=ci
 
 echo "== 2/6 kernel throughput + scheduler and burst-train equivalence checks =="
 python tools/bench_kernel.py --check
