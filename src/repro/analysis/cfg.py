@@ -26,21 +26,17 @@ This module adds the control-flow layer:
   event waits conservatively do not (a notify can wake the thread in the
   same delta).  The one path-sensitive refinement: after ``result = yield
   AnyOf([...], timeout=...)``, the ``result is TIMEOUT`` branch proves the
-  timer fired, i.e. simulated time advanced.
-* :func:`proven_single_instant_writer` — the admission proof the kernel's
-  static scheduler (:func:`repro.analysis.dataflow.build_schedule_plan`)
-  needs before it may commit a thread-written signal in place: at most one
-  write per instant, so the generic scheduler's stage-then-commit protocol
-  and the fast path's commit-in-place are indistinguishable.  A live
-  :class:`~repro.kernel.Clock` toggle thread is recognised directly — the
-  static machine cannot prove its pause-stretchable phase helper always
-  advances time, but the elaborated clock's phase durations can be checked
-  to be positive, which is the missing fact.
+  timer fired, i.e. simulated time advanced.  A spliced helper contributes
+  its counts to its caller's edges.
+* Rule-support queries for the REP5xx lint layer (waitless loops,
+  unreachable statements, write coverage, one-sided wait branches), and
+  :func:`reachable_wait_states`, which the interprocedural layer
+  (:mod:`repro.analysis.interproc`) builds its wait-effect summaries from.
 
 Everything here follows the conservative contract of the dataflow layer:
 analysis never raises — unsupported constructs set ``unresolved`` with a
 reason, which consumers must read as "anything could happen" (lint rules
-stay silent, the scheduler excludes the signal).
+stay silent).
 """
 
 from __future__ import annotations
@@ -52,8 +48,8 @@ import types
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..kernel import Clock, Event, Signal
-from .dataflow import _TIME_FUNCS, _UNRESOLVED, _as_signal, _resolve_path
+from ..kernel import Signal
+from .dataflow import _TIME_FUNCS, _as_signal, _resolve_path
 
 #: A ``self``-rooted attribute path, as in :mod:`repro.analysis.dataflow`.
 Path = Tuple[str, ...]
@@ -164,8 +160,8 @@ class WaitState:
     advances: bool
     #: The full classification of the underlying wait site (None for the
     #: synthetic START/END states).  Carries the resolvable target path
-    #: for event/external waits, which the rendezvous admission proof
-    #: (:func:`thread_rendezvous_profile`) resolves on the live owner.
+    #: for event/external waits, which the interprocedural layer
+    #: (:mod:`repro.analysis.interproc`) resolves on the live owner.
     info: Optional[WaitInfo] = None
 
 
@@ -1144,25 +1140,6 @@ class ProcessControlFlow:
             return None
         return _as_signal(_resolve_path(self.owner, path))
 
-    def live_write_counts(self) -> Dict[int, Tuple[Signal, int]]:
-        """Per-signal write counts, paths resolved on the live owner.
-
-        Two distinct paths landing on the same signal (a port alias next
-        to the direct attribute) are *summed* — they could both execute in
-        one instant, and overcounting is the conservative direction.
-        """
-        counts: Dict[int, Tuple[Signal, int]] = {}
-        if self.owner is None:
-            return counts
-        for path, count in self.flow.write_counts.items():
-            sig = _as_signal(_resolve_path(self.owner, path))
-            if sig is None:
-                continue
-            old = counts.get(id(sig))
-            total = min((old[1] if old else 0) + count, MANY)
-            counts[id(sig)] = (sig, total)
-        return counts
-
 
 def analyze_process(process: object) -> ProcessControlFlow:
     """Control-flow analysis of one registered process (never raises)."""
@@ -1177,106 +1154,6 @@ def analyze_process(process: object) -> ProcessControlFlow:
         )
         return ProcessControlFlow(process, None, name, kind, flow)
     return ProcessControlFlow(process, owner, name, kind, analyze_function(type(owner), fn))
-
-
-def proven_single_instant_writer(process: object, signal: Signal) -> Tuple[bool, str]:
-    """Can ``process`` write ``signal`` at most once per simulated instant?
-
-    Returns ``(True, proof)`` or ``(False, reason)``.  The static proof
-    comes from the wait-state machine's write-count analysis; a live
-    :class:`~repro.kernel.Clock` toggle thread with positive phase
-    durations is recognised directly (its pause-stretchable phase helper
-    always advances simulated time before returning, a fact the purely
-    static analysis cannot establish).
-    """
-    fn = getattr(process, "fn", None)
-    owner = getattr(fn, "__self__", None)
-    if (
-        isinstance(owner, Clock)
-        and getattr(fn, "__func__", None) is Clock._toggle
-        and signal is owner.signal
-    ):
-        if owner._high_time.femtoseconds > 0 and owner._low_time.femtoseconds > 0:
-            return True, "periodic clock toggle (live phase durations positive)"
-        return False, "degenerate clock phase (zero high or low time)"
-    pcf = analyze_process(process)
-    if pcf.unresolved:
-        return False, f"control flow unresolved: {pcf.reason}"
-    if pcf.flow.external_waits:
-        # Blocking calls into other components run in foreign frames whose
-        # writes the count analysis cannot see.
-        return False, "external wait (callee effects opaque to write counts)"
-    counts = pcf.live_write_counts()
-    entry = counts.get(id(signal))
-    if entry is None or entry[1] <= 1:
-        return True, "at most one write per instant (wait-state machine)"
-    return False, "may write more than once in one instant"
-
-
-# --------------------------------------------------------------------------
-# Rendezvous admission (compiled-thread fast path, kernel/specialize.py)
-# --------------------------------------------------------------------------
-
-@dataclass
-class RendezvousProfile:
-    """Verdict of the compiled-thread admission proof for one thread.
-
-    ``admissible`` threads block only on waits the compiled runtime serves
-    with its lean protocol; ``rendezvous_states`` counts the event /
-    external (blocking-call) wait states among them — the hand-offs the
-    fast path exists for.
-    """
-
-    admissible: bool
-    reason: str
-    rendezvous_states: int = 0
-    timed_states: int = 0
-
-
-def _audited_rendezvous(
-    target: object, method: str, path: Optional[Path] = None
-) -> Optional[str]:
-    """Is ``target.method`` an audited blocking rendezvous primitive?
-
-    Returns None when it is, else the rejection reason.  The registry
-    names the kernel channels and the bus-layer transport whose wait /
-    notify structure the compiled-thread runtime was validated against
-    (every blocking path inside them suspends only on plain timed waits,
-    single events with statically known notifiers, or nested audited
-    calls).  Since PR 10 the registry is only a *seed*: callers fall back
-    to :func:`repro.analysis.interproc.prove_rendezvous_safe`, which
-    proves unlisted primitives automatically from their wait-effect
-    summaries.  Soundness never depended on either (the compiled runtime
-    is order-preserving and falls back per wait); they gate admission, so
-    the exclusion stays diagnosable.
-    """
-    from ..kernel.channels import Fifo, Mutex, Semaphore
-
-    if isinstance(target, Fifo) and method in ("put", "get"):
-        return None
-    if isinstance(target, Mutex) and method == "lock":
-        return None
-    if isinstance(target, Semaphore) and method == "wait":
-        return None
-    try:
-        from ..bus.arbiter import Arbiter
-        from ..bus.bus import Bus
-        from ..bus.memory import Memory
-    except ImportError:  # kernel used without the bus layer
-        pass
-    else:
-        if isinstance(target, Arbiter) and method == "request":
-            return None
-        if isinstance(target, Bus) and method in ("read", "write"):
-            return None
-        if isinstance(target, Memory) and method in ("read", "write"):
-            return None
-    if target is None or target is _UNRESOLVED:
-        attempted = (
-            f"self.{'.'.join(path)}.{method}" if path else f"the .{method} call target"
-        )
-        return f"blocking call {attempted} does not resolve on the live owner"
-    return f"{type(target).__name__}.{method} is not an audited rendezvous primitive"
 
 
 def reachable_wait_states(machine: WaitStateMachine) -> List[WaitState]:
@@ -1294,112 +1171,6 @@ def reachable_wait_states(machine: WaitStateMachine) -> List[WaitState]:
     return [
         s for s in machine.states if s.kind not in ("start", "end") and s.index in seen
     ]
-
-
-def _composite_members_rejection(
-    owner: object, info: Optional[WaitInfo], lineno: int
-) -> Optional[str]:
-    """Why a composite (AnyOf) wait's members fail to resolve, or None."""
-    members = info.members if info is not None else None
-    if members is None:
-        return f"composite wait (line {lineno})"
-    for member in members:
-        if not isinstance(_resolve_path(owner, member), Event):
-            return (
-                f"composite member self.{'.'.join(member)} does not resolve "
-                f"to an event (line {lineno})"
-            )
-    return None
-
-
-def thread_rendezvous_profile(process: object) -> RendezvousProfile:
-    """Admission proof for the compiled-thread (rendezvous) fast path.
-
-    Proves that every *reachable* wait state of a thread's wait-state
-    machine blocks only on constructs the compiled runtime serves with its
-    lean protocol: pure timed waits, single events on resolvable
-    ``self.<...>`` paths, ``AnyOf`` composites (with or without timeout)
-    whose members are resolvable events, or blocking calls into rendezvous
-    primitives — either seeded by the :func:`_audited_rendezvous` registry
-    or proven automatically from their transitive wait-effect summaries
-    (:func:`repro.analysis.interproc.prove_rendezvous_safe`).  Threads
-    with static sensitivity or unresolvable control flow are rejected
-    with a reason, as are threads with no rendezvous wait at all (nothing
-    for the fast path to win).
-    """
-    if getattr(process, "kind", None) != "thread":
-        return RendezvousProfile(False, "not a thread process")
-    if getattr(process, "static_sensitivity", None):
-        return RendezvousProfile(False, "static sensitivity present")
-    pcf = analyze_process(process)
-    if pcf.unresolved:
-        return RendezvousProfile(False, f"control flow unresolved: {pcf.reason}")
-    machine = pcf.flow.machine
-    owner = pcf.owner
-    rendezvous = timed = 0
-    for state in reachable_wait_states(machine):
-        if state.kind == "timed":
-            timed += 1
-            continue
-        info = state.info
-        target = info.target if info is not None else None
-        if state.kind == "event":
-            if target is None:
-                rejection = _composite_members_rejection(owner, info, state.lineno)
-                if rejection is not None:
-                    return RendezvousProfile(False, rejection)
-                rendezvous += 1
-                continue
-            resolved = _resolve_path(owner, target)
-            if not isinstance(resolved, Event):
-                return RendezvousProfile(
-                    False,
-                    f"wait target self.{'.'.join(target)} does not resolve "
-                    f"to an event (line {state.lineno})",
-                )
-            rendezvous += 1
-            continue
-        if state.kind == "anyof_timeout":
-            rejection = _composite_members_rejection(owner, info, state.lineno)
-            if rejection is not None:
-                return RendezvousProfile(False, rejection)
-            rendezvous += 1
-            continue
-        if state.kind == "external":
-            resolved = _resolve_path(owner, target) if target else None
-            method = info.method if info else ""
-            rejection = _audited_rendezvous(resolved, method, path=target)
-            if rejection is not None and not (
-                resolved is None or resolved is _UNRESOLVED
-            ):
-                # Not in the seed registry: try to prove the primitive
-                # rendezvous-safe from its transitive wait-effect summary.
-                from .interproc import prove_rendezvous_safe
-
-                proof = prove_rendezvous_safe(resolved, method)
-                rejection = None if proof is None else proof
-            if rejection is not None:
-                return RendezvousProfile(
-                    False, f"{rejection} (line {state.lineno})"
-                )
-            rendezvous += 1
-            continue
-        return RendezvousProfile(
-            False, f"{state.kind} wait (line {state.lineno})"
-        )
-    if not rendezvous:
-        return RendezvousProfile(
-            False,
-            "no rendezvous waits (nothing for the fast path to win)",
-            rendezvous_states=0,
-            timed_states=timed,
-        )
-    return RendezvousProfile(
-        True,
-        f"{rendezvous} rendezvous + {timed} timed wait states proven",
-        rendezvous_states=rendezvous,
-        timed_states=timed,
-    )
 
 
 # --------------------------------------------------------------------------

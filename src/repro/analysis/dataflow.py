@@ -50,7 +50,6 @@ from ..kernel import (
     SimTime,
     Simulator,
     events_of,
-    ports_of,
     processes_of,
     signals_of,
     us,
@@ -62,9 +61,8 @@ _UNRESOLVED = object()
 #: Call names recognised as pure-timeout wait expressions (``yield ns(10)``).
 _TIME_FUNCS = frozenset({"fs", "ps", "ns", "us", "ms", "sec", "from_fs", "cycles_to_time", "SimTime"})
 
-#: Calls that change the process/scheduling structure at runtime.  A design
-#: whose process bodies contain any of these cannot be statically
-#: scheduled: the plan built at elaboration would not account for them.
+#: Process-control calls.  They touch no signal, so they do not make a body
+#: opaque.
 _DYNAMIC_CALL_NAMES = frozenset(
     {"spawn", "next_trigger", "add_thread", "add_method", "kill", "on_update"}
 )
@@ -111,15 +109,9 @@ class _FnFacts:
     unresolved_wait: bool
     unresolved_notify: bool
     yields_in_body: bool
-    #: Body stores state outside local variables (attribute/subscript
-    #: assignment, global/nonlocal): running it a different number of
-    #: times is observable, so it is not a combinational function.
-    stateful: bool = False
     #: Body calls something whose effects the path analysis cannot see
     #: (unknown free function, unknown method, write/read via an alias).
     opaque_calls: bool = False
-    #: Body calls a process-control API (:data:`_DYNAMIC_CALL_NAMES`).
-    dynamic_calls: bool = False
 
 
 class _FactsVisitor(ast.NodeVisitor):
@@ -141,9 +133,7 @@ class _FactsVisitor(ast.NodeVisitor):
         self.unresolved_wait = False
         self.unresolved_notify = False
         self.yields_in_body = False
-        self.stateful = False
         self.opaque_calls = False
-        self.dynamic_calls = False
 
     # -- scope fences -------------------------------------------------------
     def _skip_scope(self, node: ast.AST) -> None:
@@ -165,47 +155,12 @@ class _FactsVisitor(ast.NodeVisitor):
             return tuple(reversed(parts))
         return None
 
-    # -- state stores --------------------------------------------------------
-    def _check_store_targets(self, targets) -> None:
-        # Stores to anything but plain local names (self.x = ..., d[k] = ...,
-        # including inside tuple targets) persist across invocations.
-        for target in targets:
-            if isinstance(target, (ast.Tuple, ast.List)):
-                self._check_store_targets(target.elts)
-            elif not isinstance(target, ast.Name):
-                self.stateful = True
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        self._check_store_targets(node.targets)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_store_targets([node.target])
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if node.value is not None:
-            self._check_store_targets([node.target])
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        self._check_store_targets(node.targets)
-        self.generic_visit(node)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self.stateful = True
-
-    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
-        self.stateful = True
-
     # -- effects ------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
             attr = func.attr
             path = self._path(func.value)
-            if attr in _DYNAMIC_CALL_NAMES:
-                self.dynamic_calls = True
             if attr == "write":
                 if path == ():
                     self.self_calls.append(attr)
@@ -235,9 +190,7 @@ class _FactsVisitor(ast.NodeVisitor):
                 # the path analysis cannot attribute.
                 self.opaque_calls = True
         elif isinstance(func, ast.Name):
-            if func.id in _DYNAMIC_CALL_NAMES:
-                self.dynamic_calls = True
-            elif func.id not in _PURE_NAME_CALLS:
+            if func.id not in _PURE_NAME_CALLS and func.id not in _DYNAMIC_CALL_NAMES:
                 self.opaque_calls = True
         else:
             self.opaque_calls = True
@@ -252,7 +205,7 @@ class _FactsVisitor(ast.NodeVisitor):
                 # ``.value`` on a non-self expression: if that expression
                 # aliases a signal, this is a read the path analysis cannot
                 # attribute (usually it is something harmless — an enum, an
-                # AST node — but the static schedule must assume the worst).
+                # AST node — but the analysis must assume the worst).
                 self.opaque_calls = True
         self.generic_visit(node)
 
@@ -345,9 +298,7 @@ def _fn_facts(func: object) -> Optional[_FnFacts]:
                 unresolved_wait=visitor.unresolved_wait,
                 unresolved_notify=visitor.unresolved_notify,
                 yields_in_body=visitor.yields_in_body,
-                stateful=visitor.stateful,
                 opaque_calls=visitor.opaque_calls,
-                dynamic_calls=visitor.dynamic_calls,
             )
     _FACTS_CACHE[code] = facts
     return facts
@@ -425,9 +376,7 @@ class ProcessSummary:
     unresolved_wait: bool = False
     unresolved_notify: bool = False
     yields_in_body: bool = False
-    stateful: bool = False
     opaque_calls: bool = False
-    dynamic_calls: bool = False
 
     def activation_events(self) -> List[Event]:
         """Events that can make this process runnable (sensitivity + waits)."""
@@ -456,9 +405,7 @@ def _accumulate(
     summary.static_wait = summary.static_wait or facts.static_wait
     summary.unresolved_wait = summary.unresolved_wait or facts.unresolved_wait
     summary.unresolved_notify = summary.unresolved_notify or facts.unresolved_notify
-    summary.stateful = summary.stateful or facts.stateful
     summary.opaque_calls = summary.opaque_calls or facts.opaque_calls
-    summary.dynamic_calls = summary.dynamic_calls or facts.dynamic_calls
     for path in facts.writes:
         sig = _as_signal(_resolve_path(owner, path))
         if sig is not None:
@@ -706,394 +653,6 @@ class DesignDataflow:
                             unresolved = True
         self._notify_scan = (notified, unresolved)
         return self._notify_scan
-
-
-# --------------------------------------------------------------------------
-# Elaboration-time static schedule (consumed by repro.kernel.specialize)
-# --------------------------------------------------------------------------
-
-@dataclass
-class SchedulePlan:
-    """What the dataflow analysis could prove about an elaborated design,
-    packaged for the kernel's specialization pass.
-
-    ``silent_signals`` are single-writer signals with no observers at all:
-    a write can commit in place, skipping the update queue and the delta
-    notification entirely.  ``chained_signals`` additionally drive method
-    processes through their static sensitivity; each entry carries the
-    dependent methods per event kind (value_changed, posedge, negedge) in
-    registration order, and ``method_ranks`` assigns those methods a
-    topological rank so one forward sweep per evaluation phase settles the
-    whole combinational wave.  ``register_signals`` are register-style
-    nets between clocked methods: their writes stay staged (readers in the
-    same instant keep seeing the old value, which is what makes them
-    registers) but the plan proved nothing observes their events, so the
-    update skips the notification scan.
-
-    A non-empty ``fallback_reasons`` means the design must run on the
-    generic scheduler; the decision is wholesale — a single unprovable
-    construct anywhere rejects the entire design, so the two paths can
-    never mix semantics.  ``exclusions`` is finer grained: per-signal
-    reasons why an otherwise-interesting net was left on the generic
-    commit protocol (multiple writers — including port-bound nets resolved
-    through ``binding_chain()`` — or a writer the CFG layer could not
-    prove writes at most once per instant); an excluded signal does not by
-    itself reject the design.
-    """
-
-    fallback_reasons: List[str] = field(default_factory=list)
-    #: Per-signal admission failures (informational; not a wholesale bail).
-    exclusions: List[str] = field(default_factory=list)
-    summaries: List[ProcessSummary] = field(default_factory=list)
-    silent_signals: List[Signal] = field(default_factory=list)
-    #: ``(signal, (value_changed_deps, posedge_deps, negedge_deps))``
-    chained_signals: List[Tuple[Signal, Tuple[tuple, tuple, tuple]]] = field(
-        default_factory=list
-    )
-    #: Register-style signals: staged commit kept, notification scan skipped.
-    register_signals: List[Signal] = field(default_factory=list)
-    #: ``(method_process, rank)`` for every chained method.
-    method_ranks: List[Tuple[object, int]] = field(default_factory=list)
-    rank_count: int = 0
-    #: Thread processes admitted to the compiled-thread (rendezvous) fast
-    #: path by :func:`repro.analysis.cfg.thread_rendezvous_profile`.  The
-    #: admission pass runs in :func:`repro.kernel.specialize.try_specialize`
-    #: and is independent of the signal plan: a wholesale signal-side bail
-    #: (``fallback_reasons``) does not reject the threads, and vice versa.
-    compiled_threads: List[object] = field(default_factory=list)
-    #: Per-thread admission failures, mirroring ``exclusions`` for signals
-    #: (informational; an excluded thread just stays on the generic
-    #: generator protocol).
-    thread_exclusions: List[str] = field(default_factory=list)
-
-    @property
-    def specializable(self) -> bool:
-        """True when the signal fast path applies (no fallback, something
-        to gain).  Compiled threads are admitted separately and do not
-        feed this verdict."""
-        return not self.fallback_reasons and bool(
-            self.silent_signals or self.chained_signals or self.register_signals
-        )
-
-
-def build_schedule_plan(sim: Simulator) -> SchedulePlan:
-    """Analyze an elaborated (not yet started) design for static scheduling.
-
-    Bails out with a recorded reason on the *first* construct that defeats
-    the analysis — unresolved waits/notifies, opaque or process-control
-    calls, free-function processes — so rejected designs (the common case
-    for spawn-heavy models) pay almost nothing at elaboration.
-
-    A signal is eligible when the analysis proves: exactly one writing
-    process, which never reads it back in the same body; no trace
-    callbacks or write hook; no thread ever waits on (or anything
-    notifies) its events; and every reader is a method process statically
-    sensitive to it.  Observed (chained) signals additionally need the
-    CFG layer's write-count proof on their writer — at most one write per
-    instant for a thread (a live :class:`~repro.kernel.Clock` toggle
-    qualifies via its positive phase durations), at most one per
-    activation for a method — because in-place commits mark dependents
-    per write where the generic path absorbs a pulse in one staged
-    update.  A method is chainable when it is combinational —
-    stateless, non-blocking, notifies nothing — and all the signals it
-    touches stay inside the eligible set (reads restricted to its own
-    sensitivity or constant signals).  *Sequential* methods — chainable
-    methods clocked entirely by proven thread-driven nets — may
-    additionally read and write register-style signals: unobservable
-    nets that keep the staged-commit protocol.  All sets are pruned to a
-    mutual fixpoint, then ranked longest-path over writer->reader edges;
-    a combinational cycle rejects the design wholesale.  Per-signal
-    admission failures worth reporting (multi-writer nets, failed writer
-    proofs) are recorded in ``plan.exclusions`` without rejecting the
-    design.
-    """
-    plan = SchedulePlan()
-    reasons = plan.fallback_reasons
-    if not sim._top_modules:
-        reasons.append("no module hierarchy (spawn-only design)")
-        return plan
-    processes = list(sim._processes)
-    if not processes:
-        reasons.append("no registered processes")
-        return plan
-
-    summaries: List[ProcessSummary] = []
-    for process in processes:
-        summary = summarize_process(process)
-        summaries.append(summary)
-        if summary.unresolved_wait or summary.unresolved_notify:
-            reasons.append(f"process {summary.name}: unresolved waits/notifies")
-            return plan
-        if summary.dynamic_calls:
-            reasons.append(f"process {summary.name}: dynamic process-control calls")
-            return plan
-        if summary.opaque_calls:
-            reasons.append(f"process {summary.name}: opaque calls (possible signal aliasing)")
-            return plan
-        if summary.kind == "method" and getattr(process, "_dynamic", None) is not None:
-            reasons.append(f"process {summary.name}: dynamic trigger armed")
-            return plan
-    plan.summaries = summaries
-
-    # -- usage maps (identity-keyed) ---------------------------------------
-    sig_by_id: Dict[int, Signal] = {}
-    writer_of: Dict[int, List[ProcessSummary]] = {}
-    readers_of: Dict[int, List[ProcessSummary]] = {}
-    for summary in summaries:
-        for sig in summary.signal_writes:
-            sig_by_id[id(sig)] = sig
-            writer_of.setdefault(id(sig), []).append(summary)
-        for sig in summary.signal_reads:
-            sig_by_id[id(sig)] = sig
-            readers_of.setdefault(id(sig), []).append(summary)
-    for top in sim._top_modules:
-        for module in (top, *top.descendants()):
-            for sig in signals_of(module).values():
-                sig_by_id.setdefault(id(sig), sig)
-            # Chase each port's binding chain so port-bound nets are
-            # analyzed like locally-owned ones: a signal reachable only
-            # through ports still takes part in multi-writer accounting
-            # and zero-writer (constant) classification.
-            for port in ports_of(module):
-                _, impl = port.binding_chain()
-                if isinstance(impl, Signal):
-                    sig_by_id.setdefault(id(impl), impl)
-
-    waited_ids = {id(e) for s in summaries for e in s.waited_events}
-    notified_ids = {id(e) for s in summaries for e in s.notified_events}
-    method_summaries = {id(s.process): s for s in summaries if s.kind == "method"}
-
-    # -- initial candidate signals ------------------------------------------
-    # Lazy import: repro.analysis.cfg imports helpers from this module.
-    from .cfg import analyze_process, proven_single_instant_writer
-
-    candidates: Dict[int, Signal] = {}
-    exclusions = plan.exclusions
-    flow_cache: Dict[int, object] = {}
-
-    def _writer_flow(summary: ProcessSummary):
-        pid = id(summary.process)
-        if pid not in flow_cache:
-            flow_cache[pid] = analyze_process(summary.process)
-        return flow_cache[pid]
-
-    for sid, sig in sig_by_id.items():
-        writers = writer_of.get(sid, [])
-        if len(writers) != 1:
-            if len(writers) > 1:
-                names = ", ".join(sorted(w.name for w in writers))
-                exclusions.append(f"signal {sig.name}: multiple writers ({names})")
-            continue
-        writer = writers[0]
-        if any(r is sig for r in writer.signal_reads):
-            continue  # same-body read-back: commit order would be observable
-        if sig._trace_callbacks or sig.write_hook is not None:
-            continue
-        events = sig.events()
-        if any(id(e) in waited_ids or id(e) in notified_ids for e in events):
-            continue
-        ok = True
-        for event in events:
-            if event._dynamic_waiters:
-                ok = False
-                break
-            for proc in event._static_waiters:
-                if id(proc) not in method_summaries:
-                    ok = False  # a thread's static sensitivity includes it
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        for reader in readers_of.get(sid, []):
-            proc = reader.process
-            if id(proc) not in method_summaries or not any(
-                any(e is se for se in proc.static_sensitivity) for e in events
-            ):
-                ok = False  # a reader the wave would not re-run
-                break
-        if not ok:
-            continue
-        # An observed signal commits in place on the fast path, so every
-        # commit marks dependents immediately — whereas the generic path
-        # absorbs a write-then-overwrite pulse in one staged update and
-        # fires nothing.  Admission therefore needs the CFG layer's proof
-        # that the writer commits at most once per instant (threads) or
-        # per activation (methods).  Unobserved (silent) signals need no
-        # proof: in-place multi-commits are invisible.
-        if any(e._static_waiters for e in events):
-            if writer.kind == "thread":
-                proven, why = proven_single_instant_writer(writer.process, sig)
-                if not proven:
-                    exclusions.append(
-                        f"signal {sig.name}: thread writer {writer.name}: {why}"
-                    )
-                    continue
-            else:
-                flow = _writer_flow(writer)
-                if flow.unresolved:
-                    exclusions.append(
-                        f"signal {sig.name}: writer {writer.name}: "
-                        f"control flow unresolved: {flow.reason}"
-                    )
-                    continue
-                count = flow.live_write_counts().get(id(sig), (sig, 0))[1]
-                if count > 1:
-                    exclusions.append(
-                        f"signal {sig.name}: writer {writer.name} may write "
-                        f"it more than once per activation"
-                    )
-                    continue
-        candidates[sid] = sig
-
-    # -- register-eligible signals ------------------------------------------
-    # A register-style net keeps the staged-commit protocol (readers in
-    # the same instant must see the old value), so multiple writers and
-    # read-backs are all fine; what matters is that its events are
-    # provably unobservable, making the notification scan skippable, and
-    # — checked inside the fixpoint below — that every access comes from a
-    # clocked (sequential) method so commit timing shifts uniformly
-    # between the two schedulers.
-    register_eligible: Dict[int, Signal] = {}
-    for sid, sig in sig_by_id.items():
-        if sid not in writer_of or sid in candidates:
-            continue
-        if sig._trace_callbacks or sig.write_hook is not None:
-            continue
-        events = sig.events()
-        if any(id(e) in waited_ids or id(e) in notified_ids for e in events):
-            continue
-        if any(e._static_waiters or e._dynamic_waiters for e in events):
-            continue
-        register_eligible[sid] = sig
-
-    # -- initial chainable methods ------------------------------------------
-    chainable: Dict[int, ProcessSummary] = {}
-    for summary in summaries:
-        if summary.kind != "method":
-            continue
-        if summary.stateful or summary.yields_in_body:
-            continue
-        if summary.notified_events or summary.waited_events:
-            continue
-        if not summary.process.static_sensitivity:
-            continue
-        chainable[id(summary.process)] = summary
-
-    # -- mutual fixpoint ----------------------------------------------------
-    # A signal no process writes is constant — unless elaboration code
-    # staged a write that will only commit in the first update phase, in
-    # which case a wave running in delta 0 would read the pre-commit value.
-    zero_writer_ids = {
-        sid
-        for sid, sig in sig_by_id.items()
-        if sid not in writer_of and not sig._update_requested
-    }
-    seq_pids: Set[int] = set()
-    register_ids: Set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        cand_event_ids: Dict[int, int] = {}
-        for sid, sig in candidates.items():
-            for event in sig.events():
-                cand_event_ids[id(event)] = sid
-        # Sequential (clocked) methods: every sensitivity event belongs to
-        # a candidate net driven by a proven single-instant-writer thread
-        # (a clock).  Such methods run exactly when the clock commits — in
-        # the commit's own evaluation phase on the fast path, one delta
-        # later on the generic path — so every register they touch shifts
-        # commit timing by the same uniform delta and reads stay
-        # equivalent on both schedulers.
-        seq_pids = set()
-        for pid, summary in chainable.items():
-            sens = summary.process.static_sensitivity
-            if sens and all(
-                id(e) in cand_event_ids
-                and writer_of[cand_event_ids[id(e)]][0].kind == "thread"
-                for e in sens
-            ):
-                seq_pids.add(pid)
-        register_ids = {
-            sid
-            for sid in register_eligible
-            if all(id(s.process) in seq_pids for s in writer_of.get(sid, []))
-            and all(id(s.process) in seq_pids for s in readers_of.get(sid, []))
-        }
-        for pid, summary in list(chainable.items()):
-            proc = summary.process
-            is_seq = pid in seq_pids
-            ok = all(id(e) in cand_event_ids for e in proc.static_sensitivity)
-            if ok:
-                sens_sids = {cand_event_ids[id(e)] for e in proc.static_sensitivity}
-                ok = all(
-                    id(sig) in candidates or (is_seq and id(sig) in register_ids)
-                    for sig in summary.signal_writes
-                ) and all(
-                    id(sig) in sens_sids
-                    or id(sig) in zero_writer_ids
-                    or (is_seq and id(sig) in register_ids)
-                    for sig in summary.signal_reads
-                )
-            if not ok:
-                del chainable[pid]
-                changed = True
-        for sid, sig in list(candidates.items()):
-            ok = all(
-                id(proc) in chainable
-                for event in sig.events()
-                for proc in event._static_waiters
-            ) and all(
-                id(reader.process) in chainable for reader in readers_of.get(sid, [])
-            )
-            if not ok:
-                del candidates[sid]
-                changed = True
-
-    # -- topological ranks (longest path over writer -> dependent edges) ----
-    preds: Dict[int, Set[int]] = {pid: set() for pid in chainable}
-    for sid, sig in candidates.items():
-        writer = writer_of[sid][0]
-        wpid = id(writer.process)
-        if wpid not in chainable:
-            continue  # thread-driven source
-        for event in sig.events():
-            for proc in event._static_waiters:
-                if id(proc) in chainable:
-                    preds[id(proc)].add(wpid)
-    ranks: Dict[int, int] = {pid: 0 for pid in chainable}
-    for _ in range(len(chainable) + 1):
-        moved = False
-        for pid, above in preds.items():
-            for wpid in above:
-                if ranks[pid] <= ranks[wpid]:
-                    ranks[pid] = ranks[wpid] + 1
-                    moved = True
-        if not moved:
-            break
-    else:
-        reasons.append("combinational cycle among method processes")
-        return plan
-
-    plan.method_ranks = [
-        (summary.process, ranks[pid]) for pid, summary in chainable.items()
-    ]
-    plan.rank_count = (max(ranks.values()) + 1) if ranks else 0
-    for sid, sig in candidates.items():
-        deps = tuple(
-            tuple(event._static_waiters) for event in sig.events()
-        )
-        if any(deps):
-            plan.chained_signals.append((sig, deps))
-        else:
-            plan.silent_signals.append(sig)
-    plan.register_signals = [
-        sig for sid, sig in register_eligible.items() if sid in register_ids
-    ]
-    if not plan.silent_signals and not plan.chained_signals:
-        reasons.append("no signals eligible for static scheduling")
-        plan.register_signals = []
-    return plan
 
 
 # --------------------------------------------------------------------------

@@ -4,31 +4,19 @@ The control-flow layer (:mod:`repro.analysis.cfg`) analyzes one function at
 a time: a thread body's wait-state machine classifies each ``yield`` site,
 but a *blocking call* (``yield from self.chan.put(x)``) is a single opaque
 ``external`` state — what the callee can suspend on, which events it
-notifies, which locks it releases, all happen in a foreign frame.  PR 9
-bridged that gap with a closed audit registry
-(:func:`repro.analysis.cfg._audited_rendezvous`) naming the kernel
-channels and bus transport by ``isinstance``; anything else fell back to
-the generic wait protocol.
+notifies, which locks it releases, all happen in a foreign frame.
 
-This module computes what the registry hard-coded: per-callee
-**wait-effect summaries** — the transitive closure of wait kinds a method
-can suspend on, the events it waits on and notifies (as resolvable
-``self.*`` paths), and the channels/locks it acquires and releases —
-memoized per ``(code object, owner class)`` with conservative
-``unresolved`` degradation for recursion, foreign ``yield from`` of
-non-analyzable generators, and dynamic dispatch.  Two consumers:
-
-* :func:`prove_rendezvous_safe` — the admission side.
-  :func:`repro.analysis.cfg.thread_rendezvous_profile` treats the PR 9
-  registry as a *seed* and calls this to prove unlisted primitives (user
-  channels, ``InterruptController`` register access, …) safe for the
-  compiled-thread fast path automatically, by walking the callee's
-  reachable wait states on the live target object.
-* The REP6xx ``interproc`` lint layer (:mod:`repro.analysis.lint`) — the
-  verification side.  :func:`lock_order_trace`, :func:`acquire_sites` and
-  :func:`release_closure` feed the static wait-for/lock-order analysis
-  that flags the paper's Section 5.4 config-bus deadlock *before*
-  simulation.
+This module bridges that gap with per-callee **wait-effect summaries** —
+the transitive closure of wait kinds a method can suspend on, the events
+it waits on and notifies (as resolvable ``self.*`` paths), and the
+channels/locks it acquires and releases — memoized per ``(code object,
+owner class)`` with conservative ``unresolved`` degradation for
+recursion, foreign ``yield from`` of non-analyzable generators, and
+dynamic dispatch.  Its consumer is the REP6xx ``interproc`` lint layer
+(:mod:`repro.analysis.lint`): :func:`lock_order_trace`,
+:func:`acquire_sites` and :func:`release_closure` feed the static
+wait-for/lock-order analysis that flags the paper's Section 5.4
+config-bus deadlock *before* simulation.
 
 Everything follows the conservative contract of the other analysis
 layers: never raise; unsupported constructs degrade to ``unresolved``
@@ -42,11 +30,8 @@ import types
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..kernel import Event
 from .cfg import (
     Path,
-    _audited_rendezvous,
-    _composite_members_rejection,
     _fn_ast,
     _self_path,
     analyze_function,
@@ -210,80 +195,6 @@ def summarize_function(
     )
     _SUMMARY_CACHE[key] = summary
     return summary
-
-
-# --------------------------------------------------------------------------
-# Rendezvous-safety proof (the admission side)
-# --------------------------------------------------------------------------
-
-def prove_rendezvous_safe(
-    target: object, method: str, _seen: Optional[Set[Tuple[int, object]]] = None
-) -> Optional[str]:
-    """Prove ``target.method`` safe for the compiled-thread fast path.
-
-    Returns None on success, else the first obstruction found.  The proof
-    is transitive over the *live* object graph: every wait state reachable
-    in the callee (and in any nested blocking call it makes) must be a
-    timed wait, an event / ``AnyOf`` composite resolvable on the callee's
-    own ``self``, or a nested blocking call that itself proves safe — the
-    same vocabulary the compiled runtime serves.  The PR 9 audit registry
-    (:func:`repro.analysis.cfg._audited_rendezvous`) acts as a seed:
-    registry primitives are accepted without analysis, which also grounds
-    the recursion for primitives whose internal waits are intentionally
-    dynamic (a mutex's per-waiter grant token).  Recursion through the
-    same (object, code) pair degrades conservatively to a rejection.
-    """
-    if _seen is None:
-        _seen = set()
-    if _audited_rendezvous(target, method) is None:
-        return None
-    label = f"{type(target).__name__}.{method}"
-    func = _plain_function(type(target), method)
-    if func is None:
-        return f"{label} is not a plain method (dynamic dispatch)"
-    key = (id(target), func.__code__)
-    if key in _seen:
-        return f"recursive blocking call through {label}"
-    _seen.add(key)
-    flow = analyze_function(type(target), func)
-    if flow.unresolved or flow.machine is None:
-        return f"{label}: {flow.reason or 'no wait-state machine'}"
-    for state in reachable_wait_states(flow.machine):
-        if state.kind == "timed":
-            continue
-        info = state.info
-        tpath = info.target if info is not None else None
-        if state.kind == "event":
-            if tpath is None:
-                rejection = _composite_members_rejection(target, info, state.lineno)
-                if rejection is not None:
-                    return f"{label}: {rejection}"
-                continue
-            if not isinstance(_resolve_path(target, tpath), Event):
-                return (
-                    f"{label} waits on self.{'.'.join(tpath)} which does not "
-                    f"resolve to an event (line {state.lineno})"
-                )
-            continue
-        if state.kind == "anyof_timeout":
-            rejection = _composite_members_rejection(target, info, state.lineno)
-            if rejection is not None:
-                return f"{label}: {rejection}"
-            continue
-        if state.kind == "external":
-            resolved = _resolve_path(target, tpath) if tpath else None
-            if resolved is None or resolved is _UNRESOLVED:
-                attempted = f"self.{'.'.join(tpath)}" if tpath else "its call target"
-                return (
-                    f"{label}: nested blocking call target {attempted} does "
-                    f"not resolve (line {state.lineno})"
-                )
-            nested = prove_rendezvous_safe(resolved, info.method, _seen)
-            if nested is not None:
-                return nested
-            continue
-        return f"{label}: {state.kind} wait (line {state.lineno})"
-    return None
 
 
 # --------------------------------------------------------------------------

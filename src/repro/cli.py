@@ -189,14 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     lint.add_argument(
-        "--specialize-report",
-        action="store_true",
-        help=(
-            "print each netlist's compiled-scheduler admission verdicts: "
-            "per-thread rendezvous proofs and per-signal exclusions"
-        ),
-    )
-    lint.add_argument(
         "--explain",
         metavar="REPnnn",
         default=None,
@@ -611,48 +603,6 @@ def _explain_rule(code: str) -> int:
     return 0
 
 
-def _specialize_verdicts(netlist) -> Dict[str, List[str]]:
-    """Compiled-scheduler admission verdicts for one netlist.
-
-    Elaborates into a throwaway simulator, runs the full specialization
-    attempt (signal plan plus rendezvous admission) without simulating,
-    and reports what the fast path would and would not take on.
-    """
-    from .kernel import Simulator
-    from .kernel.specialize import try_specialize
-
-    sim = Simulator(name="specialize-report")
-    netlist.elaborate(sim)
-    try_specialize(sim)
-    plan = sim.schedule_plan
-    verdicts: Dict[str, List[str]] = {
-        "compiled_threads": [], "thread_exclusions": [],
-        "fast_signals": [], "signal_exclusions": [],
-        "fallback_reasons": list(sim.specialize_fallback_reasons),
-    }
-    if plan is not None:
-        verdicts["compiled_threads"] = sorted(t.name for t in plan.compiled_threads)
-        verdicts["thread_exclusions"] = sorted(plan.thread_exclusions)
-        verdicts["signal_exclusions"] = sorted(plan.exclusions)
-    verdicts["fast_signals"] = sorted(s.name for s in sim._fast_signals)
-    return verdicts
-
-
-def _render_specialize_report(verdicts: Dict[str, List[str]]) -> str:
-    lines = ["specialize report:"]
-    for thread in verdicts["compiled_threads"]:
-        lines.append(f"  thread {thread}: admitted (compiled runtime)")
-    for reason in verdicts["thread_exclusions"]:
-        lines.append(f"  {reason}")
-    n_fast = len(verdicts["fast_signals"])
-    lines.append(f"  fast signals: {n_fast}")
-    for reason in verdicts["signal_exclusions"]:
-        lines.append(f"  signal excluded: {reason}")
-    for reason in verdicts["fallback_reasons"]:
-        lines.append(f"  fallback: {reason}")
-    return "\n".join(lines)
-
-
 def cmd_lint(args) -> int:
     import json
 
@@ -707,17 +657,6 @@ def cmd_lint(args) -> int:
         )
         for label, netlist in targets
     ]
-    specialize_reports: Dict[str, Dict[str, List[str]]] = {}
-    if args.specialize_report:
-        for label, netlist, _ in reports:
-            try:
-                specialize_reports[label] = _specialize_verdicts(netlist)
-            except Exception as exc:
-                specialize_reports[label] = {
-                    "compiled_threads": [], "thread_exclusions": [],
-                    "fast_signals": [], "signal_exclusions": [],
-                    "fallback_reasons": [f"elaboration failed: {exc}"],
-                }
     confirmations: Dict[str, Dict[tuple, str]] = {}
     if args.confirm:
         from .analysis.dataflow import cross_check
@@ -750,8 +689,6 @@ def cmd_lint(args) -> int:
                 },
                 "diagnostics": diagnostics,
             }
-            if label in specialize_reports:
-                entry["specialize"] = specialize_reports[label]
             payload.append(entry)
         print(json.dumps(payload, indent=2))
     else:
@@ -760,8 +697,6 @@ def cmd_lint(args) -> int:
             print(report.render())
             for (code, location), status in sorted(confirmations.get(label, {}).items()):
                 print(f"confirm {code} {location}: {status} (dynamic cross-check)")
-            if label in specialize_reports:
-                print(_render_specialize_report(specialize_reports[label]))
             print()
         print(
             f"linted {len(reports)} netlist(s): {errors} error(s), "

@@ -63,7 +63,6 @@ class Event:
         "name",
         "_static_waiters",
         "_dynamic_waiters",
-        "_direct",
         "_pending",
         "_trigger_count",
         "_last_trigger_fs",
@@ -77,11 +76,6 @@ class Event:
         # and removal, deterministic iteration in registration order.
         self._static_waiters: Dict["Process", None] = {}
         self._dynamic_waiters: Dict[object, None] = {}
-        # Direct-dispatch slot for a compiled thread (kernel/specialize.py):
-        # at most one waiter, armed only when no dynamic waiter preceded it,
-        # resumed between the static and dynamic scans — i.e. exactly where
-        # the earliest-armed dynamic waiter would have been resumed.
-        self._direct = None  # type: Optional[object]
         # Pending notification: None, _DELTA, or a TimedAction.
         self._pending = None  # type: Optional[object]
         self._trigger_count = 0
@@ -105,17 +99,11 @@ class Event:
 
     def has_waiters(self) -> bool:
         """True if any process is statically or dynamically waiting."""
-        return bool(
-            self._static_waiters or self._dynamic_waiters or self._direct is not None
-        )
+        return bool(self._static_waiters or self._dynamic_waiters)
 
     def static_waiters(self) -> "list[Process]":
-        """Statically sensitive processes, in registration order.
-
-        The order is the order the scheduler notifies them in, which the
-        static schedule (:mod:`repro.kernel.specialize`) preserves when it
-        marks sensitive methods directly.
-        """
+        """Statically sensitive processes, in registration order (the order
+        the scheduler notifies them in)."""
         return list(self._static_waiters)
 
     # -- waiter management (kernel internal) -------------------------------
@@ -219,10 +207,6 @@ class Event:
         if self._static_waiters:
             for process in list(self._static_waiters):
                 process._static_trigger(self)
-        direct = self._direct
-        if direct is not None:
-            self._direct = None
-            direct._direct_resume(self)
         if self._dynamic_waiters:
             for handle in list(self._dynamic_waiters):
                 handle.on_trigger(self)

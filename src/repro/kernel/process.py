@@ -302,11 +302,6 @@ class ThreadProcess(Process):
 
     kind = "thread"
 
-    #: True on the compiled-thread runtime (:mod:`repro.kernel.specialize`),
-    #: which counts each timed wait it serves in
-    #: ``stats.compiled_thread_waits``.
-    compiled = False
-
     __slots__ = ("_fn", "_gen", "_handle", "_resume_value", "_wait_handle")
 
     @property
@@ -471,7 +466,7 @@ class MethodProcess(Process):
 
     kind = "method"
 
-    __slots__ = ("_fn", "_initialize", "_queued", "_dynamic", "_pending_trigger", "_rank")
+    __slots__ = ("_fn", "_initialize", "_queued", "_dynamic", "_pending_trigger")
 
     @property
     def runs_at_start(self) -> bool:
@@ -492,9 +487,6 @@ class MethodProcess(Process):
         self._queued = False
         self._dynamic: Optional[_MethodTrigger] = None
         self._pending_trigger: Optional[object] = "unset"
-        # Topological rank assigned by the static schedule
-        # (kernel/specialize.py); 0 and unused on the generic path.
-        self._rank = 0
 
     def start(self) -> None:
         if self.state is not ProcessState.CREATED:
@@ -560,6 +552,7 @@ class MethodProcess(Process):
             if spec.timeout is not None:
                 trigger.arm_timeout(spec.timeout)
         else:
+            self._terminate()
             raise ProcessError(
                 self.name,
                 f"invalid next_trigger specification: {spec!r} "

@@ -50,7 +50,6 @@ class Signal(Generic[T]):
         "negedge",
         "_trace_callbacks",
         "write_hook",
-        "_dependents",
     )
 
     def __init__(self, sim: "Simulator", init: T, name: str = "signal") -> None:
@@ -71,10 +70,6 @@ class Signal(Generic[T]):
         #: attribute same-delta writers; disarmed cost is one ``is None``
         #: test, same contract as the fault hooks.
         self.write_hook = None
-        #: Static-schedule dependency table installed by the specialized
-        #: scheduler (:mod:`repro.kernel.specialize`); None on the generic
-        #: path.
-        self._dependents = None
 
     # -- access ---------------------------------------------------------------
     def read(self) -> T:
@@ -115,15 +110,7 @@ class Signal(Generic[T]):
                 callback(now, new)  # type: ignore[operator]
 
     def on_update(self, callback) -> None:
-        """Register ``callback(time, value)`` run at each committed change.
-
-        Trace callbacks observe every committed change, which the
-        specialized fast path skips — so attaching one reverts the
-        simulator to the generic scheduler (wholesale, per the
-        specialization contract).
-        """
-        if self.sim._specialized:
-            self.sim._despecialize()
+        """Register ``callback(time, value)`` run at each committed change."""
         self._trace_callbacks.append(callback)
 
     def events(self) -> "tuple[Event, Event, Event]":

@@ -30,14 +30,6 @@ hook itself injects runs at the same instant but does not re-fire the
 hooks: "once per finished instant" is a hard guarantee, and the injected
 effects are visible when the hooks fire at the next instant.
 
-With ``specialize=True`` (the default) :meth:`Simulator.initialize` asks
-:mod:`repro.kernel.specialize` for an elaboration-time static schedule:
-signals the dataflow analysis proves single-writer with method-only
-readers commit immediately (skipping the update-queue round trip and
-delta notification), and the sensitive method processes run in a
-topologically ranked wave inside the same evaluation phase.  Designs the
-analysis cannot fully resolve fall back wholesale to the generic path.
-
 A thread that is alone on the timeline may also wait without leaving
 its generator: :meth:`Simulator.advance_alone` advances time in place
 and books the round trip it skipped, so nothing observable changes.  The
@@ -51,7 +43,7 @@ import time
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
-from .errors import DeadlockError, ElaborationError, ProcessError, SchedulingError
+from .errors import DeadlockError, ElaborationError, SchedulingError
 from .event import Event
 from .process import Process, ProcessState, ThreadProcess
 from .simtime import SimTime, ZERO_TIME
@@ -102,35 +94,20 @@ class SimulatorStats:
         "delta_cycles",
         "timed_activations",
         "signal_updates",
-        "specialized_commits",
-        "register_commits",
-        "compiled_thread_waits",
         "in_place_advances",
     )
+
+    # Read-only compatibility names, with Simulator.specialize_fallback_reasons:
+    # their only reader is perfbench/layers.py, and ROADMAP item 2(d)
+    # deletes them with the ``specialize.*`` per-layer metrics.
+    specialized_commits = 0
+    compiled_thread_waits = 0
 
     def __init__(self) -> None:
         self.process_executions = 0
         self.delta_cycles = 0
         self.timed_activations = 0
         self.signal_updates = 0
-        #: Signal commits performed by the specialized fast path, i.e.
-        #: update-queue round trips and delta notifications the static
-        #: schedule proved unnecessary and skipped.  Always 0 on the
-        #: generic path, so ``signal_updates + specialized_commits`` is
-        #: comparable across the two schedulers.
-        self.specialized_commits = 0
-        #: Commits of register-class signals on the specialized fast path:
-        #: the staged update-queue round trip is kept (so readers in the
-        #: same instant still see the old value) but the proven-pointless
-        #: notification scan is skipped.  A subset of ``signal_updates``,
-        #: reported separately; always 0 on the generic path.
-        self.register_commits = 0
-        #: Waits armed through the compiled-thread fast path
-        #: (:class:`repro.kernel.specialize._CompiledThread`): timed waits
-        #: served by a pooled heap entry and event waits served by the
-        #: direct-dispatch slot, both skipping the generic WaitHandle
-        #: machinery.  Always 0 on the generic path.
-        self.compiled_thread_waits = 0
         #: Timed waits a burst train advanced in place instead of yielding
         #: (:meth:`Simulator.advance_alone`); each is also counted in
         #: ``timed_activations`` and ``process_executions``, as the kernel
@@ -144,9 +121,6 @@ class SimulatorStats:
             "delta_cycles": self.delta_cycles,
             "timed_activations": self.timed_activations,
             "signal_updates": self.signal_updates,
-            "specialized_commits": self.specialized_commits,
-            "register_commits": self.register_commits,
-            "compiled_thread_waits": self.compiled_thread_waits,
             "in_place_advances": self.in_place_advances,
         }
 
@@ -161,7 +135,10 @@ class Simulator:
         sim.run(until=us(100))
     """
 
-    def __init__(self, name: str = "sim", *, specialize: bool = True) -> None:
+    # A compatibility name: see SimulatorStats.
+    specialize_fallback_reasons = ("generic scheduler (the only scheduler)",)
+
+    def __init__(self, name: str = "sim") -> None:
         self.name = name
         self._now_fs = 0
         self._now_obj = ZERO_TIME  # cached SimTime mirror of _now_fs
@@ -176,31 +153,6 @@ class Simulator:
         self._processes: List[Process] = []
         self._top_modules: List[object] = []
         self._end_of_elaboration_hooks: List[Callable[[], None]] = []
-        # -- elaboration-time specialization (kernel/specialize.py) --------
-        #: Master switch: ``specialize=False`` forces the generic scheduler
-        #: regardless of what the static analysis could prove.
-        self._specialize_enabled = specialize
-        #: True while the static fast path is active.  Runtime events the
-        #: plan could not foresee (dynamic spawn, hooks armed mid-run)
-        #: revert the whole design via :meth:`_despecialize`.
-        self._specialized = False
-        #: Rank-indexed buckets of method processes marked runnable by
-        #: fast signal commits; drained in rank order by the evaluation
-        #: phase.  Empty list on the generic path.
-        self._pending_buckets: List[List[Process]] = []
-        self._pending_count = 0
-        #: Signals whose class was swapped to a fast variant (for revert).
-        self._fast_signals: List[object] = []
-        #: Thread processes whose class was swapped to the compiled-thread
-        #: fast variant (for revert).
-        self._compiled_threads: List[object] = []
-        #: The :class:`~repro.analysis.dataflow.SchedulePlan` built at
-        #: :meth:`initialize`, or None (specialization disabled / analysis
-        #: layer unavailable).
-        self.schedule_plan = None
-        #: Why the design fell back to the generic scheduler (empty when
-        #: specialized, or when specialization was never attempted).
-        self.specialize_fallback_reasons: List[str] = []
         self.stats = SimulatorStats()
         self._run_state = _RunState(None, None, 0)
         #: Called with the current time once per finished instant (after the
@@ -247,15 +199,9 @@ class Simulator:
         self._top_modules.append(module)
 
     def register_process(self, process: Process) -> None:
+        self._processes.append(process)
         if self._started:
-            # Dynamic process: the static schedule cannot account for it,
-            # so the whole design reverts to the generic scheduler.
-            if self._specialized:
-                self._despecialize(f"dynamic process {process.name!r} registered after start")
-            self._processes.append(process)
             process.start()
-        else:
-            self._processes.append(process)
 
     def spawn(self, name: str, fn: Callable[[], object], daemon: bool = False) -> ThreadProcess:
         """Create (and, if the simulation has started, start) a thread process."""
@@ -333,37 +279,14 @@ class Simulator:
 
     # -- running --------------------------------------------------------------
     def initialize(self) -> None:
-        """Run end-of-elaboration hooks and make all processes runnable.
-
-        With specialization enabled (the default), this is also where the
-        static schedule is built and applied: elaboration is complete, no
-        process has run yet, so the dataflow analysis sees the final design.
-        """
+        """Run end-of-elaboration hooks and make all processes runnable."""
         if self._started:
             return
         self._started = True
         for hook in self._end_of_elaboration_hooks:
             hook()
-        if self._specialize_enabled:
-            from .specialize import try_specialize
-
-            try_specialize(self)
         for process in self._processes:
             process.start()
-
-    def _despecialize(self, reason: str = "runtime fallback trigger") -> None:
-        """Revert the specialized fast path to the generic scheduler.
-
-        Safe to call mid-run: pending static-schedule marks are flushed
-        into the runnable queue (in rank order) and the fast signal
-        classes are swapped back, so the current instant completes with
-        generic semantics.  Idempotent.
-        """
-        if not self._specialized:
-            return
-        from .specialize import revert
-
-        revert(self, reason)
 
     def stop(self) -> None:
         """Request the scheduler to stop after the current process returns."""
@@ -384,7 +307,8 @@ class Simulator:
         until:
             Stop once simulated time would exceed this duration (measured
             from time zero, like ``sc_start``).  ``None`` runs to event
-            starvation.
+            starvation.  A time earlier than :attr:`now` raises
+            :class:`SchedulingError`: simulated time never runs backwards.
         max_deltas_per_instant:
             Guard against non-advancing delta loops (combinational cycles).
         error_on_deadlock:
@@ -403,6 +327,10 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("run() is not reentrant")
+        if until is not None and until._fs < self._now_fs:
+            raise SchedulingError(
+                f"run(until={until}) is earlier than the current time {self.now}"
+            )
         self.initialize()
         self._running = True
         self._stop_requested = False
@@ -426,53 +354,20 @@ class Simulator:
             while not self._stop_requested:
                 # Evaluation phase.
                 executed = False
-                while True:
-                    while runnable:
-                        process = runnable.popleft()
-                        executed = True
-                        stats.process_executions += 1
-                        self.current_process = process
-                        process._execute()
-                        if (
-                            wall_deadline is not None
-                            and (stats.process_executions & 0xFF) == 0
-                            and time.monotonic() >= wall_deadline
-                        ):
-                            self._trip_watchdog(max_wall_s)
-                        if self._stop_requested:
-                            break
-                    if not self._pending_count or self._stop_requested:
-                        break
-                    # Static-schedule drain: method processes marked by fast
-                    # signal commits run in topological rank order, so each
-                    # combinational wave settles in a single glitch-free
-                    # pass (a rank-r method only marks ranks > r, which this
-                    # same forward sweep then visits).  The plan proved these
-                    # methods never call next_trigger/kill, so the state and
-                    # pending-trigger bookkeeping of MethodProcess._execute
-                    # is skipped and _fn is called directly.
+                while runnable:
+                    process = runnable.popleft()
                     executed = True
-                    ran = 0
-                    terminated = ProcessState.TERMINATED
-                    for bucket in self._pending_buckets:
-                        if bucket:
-                            for process in bucket:
-                                process._queued = False
-                                if process.state is terminated:
-                                    continue  # killed between initialize and run
-                                ran += 1
-                                self.current_process = process
-                                try:
-                                    process._fn()
-                                except Exception as exc:
-                                    process._terminate()
-                                    raise ProcessError(
-                                        process.name,
-                                        f"{type(exc).__name__}: {exc}",
-                                    ) from exc
-                            bucket.clear()
-                    stats.process_executions += ran
-                    self._pending_count = 0
+                    stats.process_executions += 1
+                    self.current_process = process
+                    process._execute()
+                    if (
+                        wall_deadline is not None
+                        and (stats.process_executions & 0xFF) == 0
+                        and time.monotonic() >= wall_deadline
+                    ):
+                        self._trip_watchdog(max_wall_s)
+                    if self._stop_requested:
+                        break
                 if self._stop_requested:
                     break
                 if executed:
@@ -523,12 +418,7 @@ class Simulator:
                         now_obj = self.now
                         for hook in self.trace_hooks:
                             hook(now_obj)
-                        if (
-                            runnable
-                            or self._update_queue
-                            or self._delta_events
-                            or self._pending_count
-                        ):
+                        if runnable or self._update_queue or self._delta_events:
                             continue  # a hook injected activity at this instant
                 # Timed notification phase.
                 deltas_this_instant = 0
@@ -575,7 +465,7 @@ class Simulator:
 
         True when a timed wait of the running thread until ``wake_fs``
         would be the next and only thing the kernel does: nothing is
-        runnable; no update, delta notification or static-schedule mark is
+        runnable; no update or delta notification is
         pending; no trace hook is attached; no live timed action is queued
         at or before ``wake_fs``; the wake is within the run's ``until``;
         no stop is requested; and the watchdog is not due for a check.
@@ -592,7 +482,6 @@ class Simulator:
             or self._runnable
             or self._update_queue
             or self._delta_events
-            or self._pending_count
             or self.trace_hooks
             or self._stop_requested
         ):
@@ -622,8 +511,8 @@ class Simulator:
         there without leaving the process, and the books record what the
         kernel round trip would have: the timeout's sequence number, one
         timed activation (which also opens a new instant for the trace
-        hooks), one process execution (and a compiled-thread wait for a
-        compiled thread), and a restart of the per-instant delta guard.
+        hooks), one process execution, and a restart of the per-instant
+        delta guard.
         Returns False, with no observable effect, when the wait must be
         yielded to the kernel instead.  See docs/KERNEL.md, "In-place
         advance for burst trains".
@@ -636,8 +525,6 @@ class Simulator:
         stats.timed_activations += 1
         stats.process_executions += 1
         stats.in_place_advances += 1
-        if self.current_process.compiled:
-            stats.compiled_thread_waits += 1
         self._now_fs = wake_fs
         self._run_state.advanced_at_delta = stats.delta_cycles
         return True

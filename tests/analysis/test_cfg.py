@@ -10,7 +10,7 @@ import pytest
 
 from repro.analysis import cfg as C
 from repro.analysis.lint import RULES, run_lint
-from repro.kernel import AnyOf, Clock, Module, Signal, Simulator, TIMEOUT, fs, ns
+from repro.kernel import AnyOf, Clock, Module, Signal, Simulator, TIMEOUT, ns
 
 
 # ---------------------------------------------------------------------------
@@ -217,28 +217,6 @@ class TestProofs:
         flow = C.analyze_function(Clock, Clock._toggle)
         assert not flow.unresolved
         assert flow.write_counts.get(("signal",)) >= 2
-
-    def test_live_clock_proof(self):
-        sim = Simulator()
-        clk = Clock("clk", ns(10), sim=sim)
-        proc = next(p for p in sim._processes if "toggle" in p.name)
-        ok, why = C.proven_single_instant_writer(proc, clk.signal)
-        assert ok and "clock" in why
-
-    def test_degenerate_clock_rejected(self):
-        sim = Simulator()
-        bad = Clock("bad", fs(1), sim=sim, duty=0.4)  # high time rounds to 0
-        proc = next(p for p in sim._processes if "toggle" in p.name)
-        ok, why = C.proven_single_instant_writer(proc, bad.signal)
-        assert not ok and "degenerate" in why
-
-    def test_thread_machine_proof(self):
-        sim = Simulator()
-        top = Synth("t", sim=sim)
-        good = top.add_thread(top.single_writer, name="sw")
-        bad = top.add_thread(top.double_writer, name="dw")
-        assert C.proven_single_instant_writer(good, top.a)[0]
-        assert not C.proven_single_instant_writer(bad, top.a)[0]
 
 
 class TestRuleQueries:

@@ -1,8 +1,6 @@
 """Interprocedural wait-effect analysis and the REP6xx lint layer.
 
-Covers the per-callee summaries, the rendezvous-safety proof that widens
-compiled-thread admission beyond the audit registry, the lock-order /
-acquire-release traces, and the four interproc lint rules — including the
+Covers the per-callee summaries, the lock-order / acquire-release traces, and the four interproc lint rules — including the
 acceptance pair: REP601 statically predicts exactly the Section 5.4
 deadlock ``examples/deadlock_demo.py`` hits dynamically, and the two
 reports cross-reference each other.
@@ -17,7 +15,6 @@ from repro.analysis.deadlock import diagnose
 from repro.analysis.interproc import (
     acquire_sites,
     lock_order_trace,
-    prove_rendezvous_safe,
     release_closure,
     summarize_function,
 )
@@ -52,7 +49,7 @@ def interproc_lint(design):
 # ---------------------------------------------------------------------------
 
 class HandshakeChannel:
-    """A user-defined rendezvous channel — not in the audit registry."""
+    """A user-defined rendezvous channel."""
 
     def __init__(self, sim, name="hs"):
         self.sim = sim
@@ -78,22 +75,6 @@ class HandshakeChannel:
         self._has = False
         self._empty.notify_delta()
         return item
-
-    def drain_forever(self):
-        while True:
-            yield from self.recv()
-            yield from self.drain_forever()  # recursion: must degrade
-
-
-class LocalEventChannel:
-    """Blocks on an event created in the call frame: unprovable."""
-
-    def __init__(self, sim):
-        self.sim = sim
-
-    def take(self):
-        gate = Event(self.sim, "gate")
-        yield gate
 
 
 class InvertedLocksTop(Module):
@@ -204,45 +185,6 @@ class TestWaitEffectSummaries:
         summary = summarize_function(None, object())
         assert summary.unresolved
         assert summary.reason
-
-
-# ---------------------------------------------------------------------------
-# The rendezvous-safety proof (admission side)
-# ---------------------------------------------------------------------------
-
-class TestProveRendezvousSafe:
-    def test_user_channel_proves_safe(self):
-        sim = Simulator()
-        chan = HandshakeChannel(sim)
-        assert prove_rendezvous_safe(chan, "send") is None
-        assert prove_rendezvous_safe(chan, "recv") is None
-
-    def test_registry_seed_accepts_without_analysis(self):
-        sim = Simulator()
-        mutex = Mutex(sim, "m")
-        # Mutex.lock waits on a per-waiter grant token the analyzer can
-        # never resolve — only the seed admits it.
-        assert prove_rendezvous_safe(mutex, "lock") is None
-
-    def test_local_event_wait_rejected_with_path(self):
-        sim = Simulator()
-        chan = LocalEventChannel(sim)
-        rejection = prove_rendezvous_safe(chan, "take")
-        assert rejection is not None
-        assert "LocalEventChannel.take" in rejection
-
-    def test_recursive_blocking_call_rejected(self):
-        sim = Simulator()
-        chan = HandshakeChannel(sim)
-        rejection = prove_rendezvous_safe(chan, "drain_forever")
-        assert rejection is not None
-        assert "recursive" in rejection
-
-    def test_missing_method_rejected(self):
-        sim = Simulator()
-        chan = HandshakeChannel(sim)
-        rejection = prove_rendezvous_safe(chan, "no_such_method")
-        assert rejection is not None
 
 
 # ---------------------------------------------------------------------------

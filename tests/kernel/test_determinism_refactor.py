@@ -17,11 +17,6 @@ EXPECTED_STATS = {
     "delta_cycles": 7,
     "timed_activations": 21,
     "signal_updates": 4,
-    # Added after the seed: count fast-path commits, 0 on the generic
-    # scheduler this spawn-only scenario always runs on.
-    "specialized_commits": 0,
-    "register_commits": 0,
-    "compiled_thread_waits": 0,
     # Timed waits burst trains advanced in place: 0, since this
     # scenario issues no burst train.
     "in_place_advances": 0,

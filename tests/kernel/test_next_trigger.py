@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import AnyOf, Event, Module, ProcessError, ns
+from repro.kernel import AnyOf, Event, Module, ProcessError, ProcessState, ns
 
 
 class Ticker(Module):
@@ -76,6 +76,18 @@ class TestNextTrigger:
         ticker.static_ev.notify(ns(1))
         with pytest.raises(ProcessError, match="invalid next_trigger"):
             sim.run()
+
+    def test_invalid_spec_terminates_the_process(self, sim):
+        # Like a thread with a bad wait spec or a method whose body
+        # raises: the process is terminated and raises only once.
+        ticker = Ticker("t", sim, program=[42])
+        ticker.static_ev.notify(ns(1))
+        with pytest.raises(ProcessError):
+            sim.run()
+        assert ticker.process.state is ProcessState.TERMINATED
+        ticker.static_ev.notify(ns(1))
+        sim.run()
+        assert ticker.activations == [1.0]
 
     def test_initialize_run_can_install_dynamic(self, sim):
         class SelfTimer(Module):

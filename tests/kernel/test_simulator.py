@@ -72,6 +72,18 @@ class TestRunControl:
         with pytest.raises(DeadlockError, match="stuck"):
             sim.run(error_on_deadlock=True)
 
+    def test_run_until_earlier_than_now_rejected(self, sim):
+        def ticker():
+            while True:
+                yield ns(3)
+
+        sim.spawn("ticker", ticker, daemon=True)
+        sim.run(until=ns(10))
+        with pytest.raises(SchedulingError, match=r"until=5 ns.*current time 10 ns"):
+            sim.run(until=ns(5))
+        assert sim.now == ns(10)  # time did not run backwards
+        assert sim.run(until=ns(10)) == ns(10)  # until == now stays legal
+
     def test_schedule_in_past_rejected(self, sim):
         def body():
             yield ns(10)

@@ -52,7 +52,7 @@ class TestWatchdog:
         sim.run(max_wall_s=0.05)
         assert sim.watchdog_fired is True
         # A later bounded run clears the flag.
-        sim.run(until=us(1), max_wall_s=60.0)
+        sim.run(until=sim.now + us(1), max_wall_s=60.0)
         assert sim.watchdog_fired is False
 
     def test_tripped_run_lists_blocked_processes(self):

@@ -381,7 +381,7 @@ class TestLintCfg:
 
 
 class TestLintInterproc:
-    """The ``--interproc`` layer flag and the ``--specialize-report``."""
+    """The ``--interproc`` layer flag."""
 
     def test_interproc_flag_reports_rep601_on_deadlock_builtin(self, capsys):
         assert main(["lint", "--builtin", "deadlock", "--interproc"]) == 1
@@ -415,49 +415,3 @@ class TestLintInterproc:
         assert out.startswith(f"{code} — ")
         assert "layer: interproc" in out
         assert "example:" in out
-
-    def test_specialize_report_lists_verdicts(self, capsys):
-        assert main(["lint", "--builtin", "reconfigurable", "--specialize-report"]) == 0
-        out = capsys.readouterr().out
-        assert "specialize report:" in out
-        # The SoC threads are excluded with per-thread reasons...
-        assert "thread top.drcf1" in out
-        # ...and the wholesale signal-side fallback is named too.
-        assert "fallback:" in out
-
-    def test_specialize_report_json(self, tmp_path, capsys):
-        import json
-
-        path = tmp_path / "pipe_arch.py"
-        path.write_text(
-            "from repro.core import Netlist\n"
-            "from repro.kernel import Fifo, Module, ns\n"
-            "\n"
-            "class Pipe(Module):\n"
-            "    def __init__(self, name, parent=None, sim=None):\n"
-            "        super().__init__(name, parent=parent, sim=sim)\n"
-            "        self.fifo = Fifo(self.sim, capacity=2, name='f')\n"
-            "        self.add_thread(self.produce, name='produce')\n"
-            "        self.add_thread(self.consume, name='consume')\n"
-            "\n"
-            "    def produce(self):\n"
-            "        for i in range(4):\n"
-            "            yield from self.fifo.put(i)\n"
-            "            yield ns(2)\n"
-            "\n"
-            "    def consume(self):\n"
-            "        for _ in range(4):\n"
-            "            yield from self.fifo.get()\n"
-            "\n"
-            "def build_netlist():\n"
-            "    netlist = Netlist('net')\n"
-            "    netlist.add('dut', Pipe)\n"
-            "    return netlist\n"
-        )
-        assert main(["lint", str(path), "--specialize-report", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        verdicts = payload[0]["specialize"]
-        assert verdicts["compiled_threads"] == [
-            "net.dut.consume", "net.dut.produce",
-        ]
-        assert verdicts["thread_exclusions"] == []

@@ -3,7 +3,7 @@
 
 The discrete-event kernel is the substrate every experiment in this repo
 runs on, so its per-event cost directly bounds how large a model (or DSE
-sweep) is practical.  This harness times five workloads that stress the
+sweep) is practical.  This harness times six workloads that stress the
 scheduler's distinct hot paths and records the results in
 ``BENCH_kernel.json`` at the repository root, giving every future change a
 perf trajectory to compare against:
@@ -21,27 +21,7 @@ perf trajectory to compare against:
     waiter-list management and delta-queue path.
 ``bus_transaction``
     Full-stack bus writes through arbiter + memory — a macro workload
-    representative of the paper's bus-cycle-accurate models.  The master
-    thread runs as a compiled wait-state machine (kernel/specialize.py's
-    rendezvous fast path); ``--check`` enforces a specialization floor
-    against the generic scheduler.
-``method_chain``
-    A thread driving a chain of combinational method processes through
-    single-writer signals — the interface-method hot path the
-    elaboration-time static scheduler (kernel/specialize.py) targets.
-    Measured both ways: the committed number runs specialized (the
-    default), and ``--check`` additionally verifies the specialized path
-    beats ``specialize=False`` by at least 2x with identical results.
-``clocked_pipeline``
-    A Clock fanned out through ports to registered pipeline stages — the
-    clocked port-bound macro workload the PR-7 admission rules (periodic
-    single-writer clock proofs, sequential methods, register nets) put on
-    the fast path.  ``--check`` enforces its own specialization floor.
-``irq_wait``
-    An interrupt-driven handshake blocking in ``InterruptController``
-    register access — primitives outside the audit registry, admitted by
-    the interprocedural rendezvous proof (analysis/interproc.py).
-    ``--check`` enforces its own specialization floor.
+    representative of the paper's bus-cycle-accurate models.
 ``drcf_slave``
     The paper's reconfigurable SoC serving frame jobs through the DRCF
     slave — a macro workload over blocking transport, context switches
@@ -68,13 +48,13 @@ import os
 import platform
 import sys
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 if __name__ == "__main__" and __package__ is None:
     sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.bus import Bus, InterruptController, Memory
-from repro.kernel import Clock, Event, Module, Port, Signal, Simulator, ns
+from repro.bus import Bus, Memory
+from repro.kernel import Event, Module, Signal, Simulator, ns
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_kernel.json")
@@ -193,135 +173,8 @@ def run_delta_heavy(n: int, waiters: int = 100) -> int:
     return wakeups
 
 
-CHAIN_DEPTH = 16
-
-
-class _ChainStage(Module):
-    """One combinational stage: out = src + 1, sensitive to src."""
-
-    def __init__(self, name, parent, src):
-        super().__init__(name, parent=parent)
-        self.src = src
-        self.out = Signal(self.sim, 0, f"{self.full_name}.out")
-        self.add_method(self.propagate, sensitivity=[src.value_changed], initialize=False)
-
-    def propagate(self):
-        self.out.write(self.src.read() + 1)
-
-
-class _MethodChain(Module):
-    """A thread driving ``depth`` chained method stages once per ns."""
-
-    def __init__(self, name, sim, depth, rounds):
-        super().__init__(name, sim=sim)
-        self.rounds = rounds
-        self.head = Signal(sim, 0, f"{name}.head")
-        src = self.head
-        for k in range(depth):
-            src = _ChainStage(f"s{k}", self, src).out
-        self.tail = src
-        self.add_thread(self.drive)
-
-    def drive(self):
-        for i in range(self.rounds):
-            self.head.write(i + 1)
-            yield ns(1)
-
-
-def run_method_chain(n: int, specialize: bool = True) -> int:
-    """``n`` signal-propagation hops through the method chain."""
-    depth = CHAIN_DEPTH
-    rounds = max(1, n // depth)
-    sim = Simulator(specialize=specialize)
-    top = _MethodChain("chain", sim, depth, rounds)
-    sim.run()
-    assert top.tail.read() == rounds + depth, "chain produced a wrong value"
-    if specialize:
-        assert sim._specialized, (
-            f"method_chain failed to specialize: {sim.specialize_fallback_reasons}"
-        )
-    return rounds * depth
-
-
-def run_method_chain_generic(n: int) -> int:
-    return run_method_chain(n, specialize=False)
-
-
-PIPE_DEPTH = 16
-PIPE_PERIOD = ns(10)
-
-
-class _PipeStage(Module):
-    """One registered stage wired entirely through ports."""
-
-    def __init__(self, name, parent, gain):
-        super().__init__(name, parent=parent)
-        self.gain = gain
-        self.clk = Port(self, None, name="clk")
-        self.inp = Port(self, None, name="inp")
-        self.out = Port(self, None, name="out")
-
-    def connect(self):
-        self.add_method(self.tick, sensitivity=[self.clk.posedge], initialize=False)
-
-    def tick(self):
-        self.out.write(self.inp.read() + self.gain)
-
-
-class _ClockedPipeline(Module):
-    """A Clock fanned out through ports to ``depth`` registered stages.
-
-    The inter-stage nets are register-style (touched only by posedge
-    methods), so this is the clocked port-bound design the PR-7 admission
-    rules put on the static fast path: the clock thread is proven a
-    periodic single writer, the clock net is chained, and the pipeline
-    registers commit without notification scans.
-    """
-
-    def __init__(self, name, sim, depth):
-        super().__init__(name, sim=sim)
-        self.clk = Clock("clk", PIPE_PERIOD, parent=self)
-        self.d = Signal(sim, 1, f"{name}.d")
-        feed = self.d
-        for k in range(depth):
-            out = Signal(sim, 0, f"{name}.n{k}")
-            stage = _PipeStage(f"s{k}", self, gain=1)
-            stage.clk.bind(self.clk.signal)
-            stage.inp.bind(feed)
-            stage.out.bind(out)
-            stage.connect()
-            feed = out
-        self.tail = feed
-
-
-def run_clocked_pipeline(n: int, specialize: bool = True) -> int:
-    """``n`` registered-stage activations of the port-bound pipeline."""
-    depth = PIPE_DEPTH
-    rounds = max(1, n // depth)
-    sim = Simulator(specialize=specialize)
-    top = _ClockedPipeline("pipe", sim, depth)
-    sim.run(until=ns(10 * rounds))
-    # After enough posedges the data has rippled through: tail = d + depth.
-    if rounds > depth:
-        assert top.tail.read() == 1 + depth, "pipeline produced a wrong value"
-    if specialize:
-        assert sim._specialized, (
-            f"clocked_pipeline failed to specialize: {sim.specialize_fallback_reasons}"
-        )
-    return rounds * depth
-
-
-def run_clocked_pipeline_generic(n: int) -> int:
-    return run_clocked_pipeline(n, specialize=False)
-
-
 class _BusMaster(Module):
-    """One bus master issuing ``rounds`` blocking single-word writes.
-
-    A bound thread method (rather than a closure) so the rendezvous
-    admission pass can resolve ``self.bus`` on the live instance and
-    compile the thread's wait states.
-    """
+    """One bus master issuing ``rounds`` blocking single-word writes."""
 
     def __init__(self, name, sim, bus, rounds):
         super().__init__(name, sim=sim)
@@ -334,86 +187,21 @@ class _BusMaster(Module):
             yield from self.bus.write((i % 64) * 4, i, master=self.full_name)
 
 
-def run_bus_transactions(n: int, specialize: bool = True) -> int:
+def run_bus_transactions(n: int) -> int:
     """``n`` transactions split across two contending masters.
 
-    Two masters so the workload exercises both compiled wait kinds: the
-    timed bus/memory cycles and the rendezvous grant waits the arbiter
-    resolves under contention (the direct-dispatch path).
+    Two masters so the workload exercises both kinds of wait: the timed
+    bus/memory cycles and the grant waits the arbiter resolves under
+    contention.
     """
-    sim = Simulator(specialize=specialize)
+    sim = Simulator()
     bus = Bus("bus", sim=sim, clock_freq_hz=100e6)
     mem = Memory("mem", sim=sim, base=0, size_words=64)
     bus.register_slave(mem)
     _BusMaster("cpu0", sim, bus, n // 2)
     _BusMaster("cpu1", sim, bus, n - n // 2)
     sim.run()
-    if specialize:
-        assert sim._specialized, (
-            f"bus_transaction failed to specialize: {sim.specialize_fallback_reasons}"
-        )
-        assert sim.stats.compiled_thread_waits > 0, (
-            "bus master threads did not run on the compiled fast path"
-        )
     return bus.monitor.transaction_count
-
-
-def run_bus_transactions_generic(n: int) -> int:
-    return run_bus_transactions(n, specialize=False)
-
-
-class _IrqBench(Module):
-    """Interrupt-driven handshake: driver raises, handler services.
-
-    The handler blocks in ``InterruptController.read``/``write`` — user
-    primitives outside the audit registry, admitted to the compiled
-    runtime by the interprocedural rendezvous proof — plus waits on
-    controller-owned events.
-    """
-
-    def __init__(self, name, sim, rounds):
-        super().__init__(name, sim=sim)
-        self.rounds = rounds
-        self.irq = InterruptController("irq", parent=self, base=0x0)
-        self.irq.register_source("dev", 0)
-        self.ack = Event(sim, f"{name}.ack")
-        self.handled = 0
-        self.add_thread(self.driver)
-        self.add_thread(self.handler)
-
-    def driver(self):
-        for _ in range(self.rounds):
-            yield ns(10)
-            self.irq.raise_irq("dev")
-            yield self.ack
-
-    def handler(self):
-        for _ in range(self.rounds):
-            yield self.irq.any_irq
-            pending = yield from self.irq.read(0x0, 1)
-            yield from self.irq.write(0x8, pending[0])
-            self.handled += 1
-            self.ack.notify()
-
-
-def run_irq_wait(n: int, specialize: bool = True) -> int:
-    """``n`` interrupt service round trips (each ~4 compiled waits)."""
-    sim = Simulator(specialize=specialize)
-    top = _IrqBench("soc", sim, n)
-    sim.run()
-    assert top.handled == n, "interrupt rounds were dropped"
-    if specialize:
-        assert sim._specialized, (
-            f"irq_wait failed to specialize: {sim.specialize_fallback_reasons}"
-        )
-        assert sim.stats.compiled_thread_waits > 0, (
-            "irq threads did not run on the compiled fast path"
-        )
-    return n
-
-
-def run_irq_wait_generic(n: int) -> int:
-    return run_irq_wait(n, specialize=False)
 
 
 def run_drcf_slave(n: int) -> int:
@@ -448,106 +236,11 @@ WORKLOADS: Dict[str, tuple] = {
     "ping_pong": (run_event_pingpong, 15_000, 1_500),
     "signal_fanout": (run_signal_fanout, 30_000, 5_000),
     "delta_heavy": (run_delta_heavy, 30_000, 5_000),
-    # Same n both modes: large enough to amortize the elaboration-time CFG
-    # analysis, small enough that the monitor's growing transaction list
-    # doesn't crowd the cache and dilute the specialization ratio.
+    # Same n both modes: small enough that the monitor's growing
+    # transaction list doesn't crowd the cache.
     "bus_transaction": (run_bus_transactions, 4_000, 4_000),
-    "method_chain": (run_method_chain, 48_000, 8_000),
-    "clocked_pipeline": (run_clocked_pipeline, 48_000, 8_000),
-    # Same n both modes, like bus_transaction: the interrupt workload's
-    # cost per round trip is dominated by compiled waits, not setup.
-    "irq_wait": (run_irq_wait, 3_000, 3_000),
     "drcf_slave": (run_drcf_slave, 8, 2),
 }
-
-#: workload -> (specialized fn, generic fn, min specialized/generic speedup).
-#: --check fails when a workload's fast path drops below its floor.  The
-#: clocked_pipeline floor is much lower than method_chain's: its generic
-#: cost is dominated by the clock thread's timed waits and the register
-#: nets have no observers to scan, so specialization only removes the
-#: delta-queue dispatch and update round trips (~1.15x measured); the
-#: floor mainly guards against the fast path ever being a regression.
-SPECIALIZE_FLOORS: Dict[str, tuple] = {
-    "method_chain": (run_method_chain, run_method_chain_generic, 2.0),
-    "clocked_pipeline": (run_clocked_pipeline, run_clocked_pipeline_generic, 1.05),
-    # The compiled-thread rendezvous fast path: the master's timed waits
-    # reuse a pooled heap entry and its grant waits resume by direct
-    # dispatch, skipping the WaitHandle arm/disarm machinery.
-    "bus_transaction": (run_bus_transactions, run_bus_transactions_generic, 1.2),
-    # Admission here comes from the interprocedural rendezvous proof (the
-    # InterruptController is not in the audit registry); the floor guards
-    # both the proof continuing to admit and the fast path never being a
-    # regression on event/timed-mixed waits.
-    "irq_wait": (run_irq_wait, run_irq_wait_generic, 1.05),
-}
-
-
-def measure_specialization(
-    workload: str = "method_chain", quick: bool = False, repeats: int = 3
-) -> Dict[str, object]:
-    """Generic-vs-specialized comparison on one fast-path workload.
-
-    The two variants are timed *interleaved* (generic, specialized,
-    generic, ...) inside one GC-disabled window, so slow drift in machine
-    load and collector pauses cancel out of the ratio instead of landing
-    on whichever variant ran second.
-    """
-    if repeats < 1:
-        raise ValueError("--repeats must be at least 1")
-    fast_fn, generic_fn, _floor = SPECIALIZE_FLOORS[workload]
-    _fn, n, quick_n = WORKLOADS[workload]
-    size = quick_n if quick else n
-    best_g = best_f = None
-    events_g = events_f = 0
-    gc.collect()
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            events_g = generic_fn(size)
-            eg = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            events_f = fast_fn(size)
-            ef = time.perf_counter() - t0
-            if best_g is None or eg < best_g:
-                best_g = eg
-            if best_f is None or ef < best_f:
-                best_f = ef
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert events_g > 0 and events_f > 0, "workload processed no events"
-    generic = {
-        "n": size,
-        "events": events_g,
-        "seconds": round(best_g, 6),
-        "events_per_sec": round(events_g / best_g, 1),
-    }
-    specialized = {
-        "n": size,
-        "events": events_f,
-        "seconds": round(best_f, 6),
-        "events_per_sec": round(events_f / best_f, 1),
-    }
-    return {
-        "workload": workload,
-        "generic": generic,
-        "specialized": specialized,
-        "speedup": round(
-            specialized["events_per_sec"] / generic["events_per_sec"], 2
-        ),
-    }
-
-
-def measure_all_specializations(
-    quick: bool = False, repeats: int = 3
-) -> List[Dict[str, object]]:
-    return [
-        measure_specialization(name, quick=quick, repeats=repeats)
-        for name in SPECIALIZE_FLOORS
-    ]
-
 
 def measure(fn: Callable[[int], int], n: int, repeats: int = 3) -> Dict[str, float]:
     """Best-of-``repeats`` wall-clock measurement of one workload.
@@ -605,7 +298,6 @@ def write_baseline(
     results: Dict[str, Dict[str, float]],
     seed_baseline: Optional[Dict[str, Dict[str, float]]],
     quick_results: Optional[Dict[str, Dict[str, float]]] = None,
-    specialization: Optional[List[Dict[str, object]]] = None,
 ) -> dict:
     doc = {
         "schema": SCHEMA,
@@ -618,8 +310,6 @@ def write_baseline(
         # the smoke comparison is apples-to-apples (short runs amortize
         # elaboration differently and report lower events/sec).
         doc["quick_workloads"] = quick_results
-    if specialization:
-        doc["specialization"] = specialization
     if seed_baseline:
         doc["seed_baseline"] = seed_baseline
         doc["speedup_vs_seed"] = {
@@ -660,18 +350,6 @@ def report(
         print(f"{name:>16} {row['n']:>8} {eps:>12,.0f} {vs_committed:>13} {vs_seed:>9}")
 
 
-def report_specialization(specs: List[Dict[str, object]]) -> None:
-    for spec in specs:
-        name = spec["workload"]
-        floor = SPECIALIZE_FLOORS[name][2]
-        generic = spec["generic"]["events_per_sec"]
-        fast = spec["specialized"]["events_per_sec"]
-        print(f"\nstatic-schedule specialization ({name}, n={spec['generic']['n']}):")
-        print(f"  generic     {generic:>12,.0f} events/s")
-        print(f"  specialized {fast:>12,.0f} events/s")
-        print(f"  speedup     {spec['speedup']:>11.2f}x  (floor: {floor}x)")
-
-
 def check(results: Dict[str, Dict[str, float]], baseline: Optional[dict]) -> int:
     """CI smoke mode: fail (non-zero) on >30% regression vs the baseline."""
     if baseline is None:
@@ -704,21 +382,6 @@ def check(results: Dict[str, Dict[str, float]], baseline: Optional[dict]) -> int
     else:
         print(f"check: ok — all {len(results)} workloads within "
               f"{1 - CHECK_THRESHOLD:.0%} of the committed baseline")
-    for name, (_fast, _generic, floor) in SPECIALIZE_FLOORS.items():
-        spec = measure_specialization(name, quick=True, repeats=3)
-        if spec["speedup"] < floor:
-            # Same noise allowance as above: re-measure before failing.
-            # Best-of-8 converges the ratio estimate on a noisy runner.
-            spec = measure_specialization(name, quick=True, repeats=8)
-        if spec["speedup"] < floor:
-            print(f"check: SPECIALIZATION REGRESSION: {name} specialized path "
-                  f"is only {spec['speedup']:.2f}x the generic path "
-                  f"(floor {floor}x)")
-            rc = 1
-        else:
-            print(f"check: specialization ok — {name} specialized path is "
-                  f"{spec['speedup']:.2f}x the generic path "
-                  f"(floor {floor}x)")
     return rc
 
 
@@ -750,8 +413,6 @@ def main(argv=None) -> int:
     if args.check:
         return check(results, baseline)
     report(results, baseline, quick=args.quick)
-    specs = measure_all_specializations(quick=args.quick, repeats=args.repeats)
-    report_specialization(specs)
     if args.write:
         if args.seed_baseline:
             with open(args.seed_baseline, "r", encoding="utf-8") as fh:
@@ -761,8 +422,7 @@ def main(argv=None) -> int:
         quick_results = (
             results if args.quick else run_all(quick=True, repeats=args.repeats)
         )
-        write_baseline(args.baseline, results, seed,
-                       quick_results=quick_results, specialization=specs)
+        write_baseline(args.baseline, results, seed, quick_results=quick_results)
         print(f"\nwrote {args.baseline}")
     return 0
 

@@ -7,10 +7,8 @@
 #   1. tier-1 test suite, then the golden-function differential tests
 #      (packed Viterbi/XTEA/FFT against their loop references) again under
 #      the `ci` hypothesis profile, which draws many more examples
-#   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails;
-#      also asserts each specialized static-schedule workload stays above
-#      its floor — >=2x on method_chain, >=1.05x on clocked_pipeline) plus
-#      the generic-vs-specialized equivalence matrix and the burst-train
+#   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails)
+#      plus the scheduler golden-trace tests and the burst-train
 #      in-place-advance differential tests
 #   3. ruff check (skipped with a notice when ruff is not installed)
 #   4. static model lint over every example architecture, including the
@@ -30,9 +28,9 @@ echo "== 1/6 tier-1 tests + golden-function differential tests (ci profile) =="
 python -m pytest tests -q
 python -m pytest tests/apps/test_golden_differential.py -q --hypothesis-profile=ci
 
-echo "== 2/6 kernel throughput + scheduler and burst-train equivalence checks =="
+echo "== 2/6 kernel throughput + scheduler golden-trace and burst-train checks =="
 python tools/bench_kernel.py --check
-python -m pytest tests/integration/test_scheduler_equivalence.py tests/integration/test_burst_train_equivalence.py -q
+python -m pytest tests/integration/test_golden_traces.py tests/integration/test_burst_train_equivalence.py -q
 
 echo "== 3/6 ruff =="
 if command -v ruff >/dev/null 2>&1; then
