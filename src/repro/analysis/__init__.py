@@ -4,7 +4,6 @@ from .cfg import (
     Cfg,
     FunctionControlFlow,
     ProcessControlFlow,
-    WaitStateMachine,
     analyze_function,
     analyze_process,
 )
@@ -19,11 +18,9 @@ from .deadlock import BlockedProcess, DeadlockReport, diagnose, watchdog_report
 from .interproc import (
     AcquireSite,
     LockTrace,
-    WaitEffectSummary,
     acquire_sites,
     lock_order_trace,
     release_closure,
-    summarize_function,
 )
 from .lint import (
     DEADLOCK_RULE_CODE,
@@ -59,8 +56,6 @@ __all__ = [
     "RunReport",
     "STATIC_DEADLOCK_RULE_CODE",
     "SignalUse",
-    "WaitEffectSummary",
-    "WaitStateMachine",
     "acquire_sites",
     "all_rule_codes",
     "analyze_function",
@@ -75,7 +70,6 @@ __all__ = [
     "rule",
     "run_lint",
     "speedup",
-    "summarize_function",
     "summarize_process",
     "watchdog_report",
 ]

@@ -1,62 +1,57 @@
-"""Control-flow-sensitive process analysis: CFGs and wait-state machines.
+"""Control-flow-sensitive process analysis: statement-level CFGs.
 
 :mod:`repro.analysis.dataflow` reduces each process body to *flat* effect
 facts — which signals it touches, which events it waits on — with no notion
 of *where* in the body those effects sit.  That is enough for single-writer
-reasoning but blind to control structure: it cannot tell a thread that
-writes a signal once per clock phase from one that pulses it twice in the
-same delta, and it cannot see that code after an exit-free ``while True``
-loop is dead.
+reasoning but blind to control structure: it cannot tell a write before
+the first wait from one after it, and it cannot see that code after an
+exit-free ``while True`` loop is dead.
 
 This module adds the control-flow layer:
 
-* :func:`build_cfg` — a statement-level control-flow graph per function
-  body (branches, loops with ``break``/``continue``/``else``, ``try`` /
-  ``except`` / ``finally``, early ``return``), with per-node read/write
-  effects expressed as ``self``-rooted attribute paths.
-* :func:`extract_machine` — for generator (thread) bodies, a **wait-state
-  machine**: every ``yield`` (event wait, timed wait, ``AnyOf`` /
-  ``AllOf``) is a state, and edges carry the read/write effects
-  accumulated between waits.  ``yield from self.helper(...)`` is spliced
-  in recursively; delegating to a foreign generator marks the machine
-  *unresolved* rather than guessing.
-* A per-instant **write-count analysis** over the machine: how many times
-  each signal path can be written within one simulated instant.  Timed
-  waits with a provably positive constant duration start a new instant;
-  event waits conservatively do not (a notify can wake the thread in the
-  same delta).  The one path-sensitive refinement: after ``result = yield
-  AnyOf([...], timeout=...)``, the ``result is TIMEOUT`` branch proves the
-  timer fired, i.e. simulated time advanced.  A spliced helper contributes
-  its counts to its caller's edges.
+* :func:`analyze_function` / :func:`analyze_process` — a statement-level
+  control-flow graph per function body (branches, loops with
+  ``break``/``continue``/``else``, ``try`` / ``except`` / ``finally``,
+  early ``return``), with per-node read/write effects expressed as
+  ``self``-rooted attribute paths.  Every ``yield`` is a *wait* node;
+  ``yield from self.helper(...)`` is spliced in recursively, a blocking
+  call into another component (``yield from self.<path>.<method>(...)``)
+  is one *external* wait node, and delegating to any other generator
+  marks the flow *unresolved* rather than guessing.
+* The *entry writes* of a body: the paths written before its first wait
+  (REP506).
 * Rule-support queries for the REP5xx lint layer (waitless loops,
   unreachable statements, write coverage, one-sided wait branches), and
-  :func:`reachable_wait_states`, which the interprocedural layer
-  (:mod:`repro.analysis.interproc`) builds its wait-effect summaries from.
+  :func:`reachable_waits`, from which the interprocedural layer
+  (:mod:`repro.analysis.interproc`) reads a thread's blocking calls.
 
-Everything here follows the conservative contract of the dataflow layer:
-analysis never raises — unsupported constructs set ``unresolved`` with a
-reason, which consumers must read as "anything could happen" (lint rules
-stay silent).
+Statement effects come from the dataflow layer's AST visitor, so both
+layers see the same paths.  Everything here follows the conservative
+contract of the dataflow layer: analysis never raises — unsupported
+constructs set ``unresolved`` with a reason, which consumers must read as
+"anything could happen" (lint rules stay silent).
 """
 
 from __future__ import annotations
 
 import ast
-import inspect
-import textwrap
 import types
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..kernel import Signal
-from .dataflow import _TIME_FUNCS, _as_signal, _resolve_path
+from .dataflow import (
+    _TIME_FUNCS,
+    _as_signal,
+    _call_name,
+    _FactsVisitor,
+    _parse_function,
+    _resolve_path,
+    _self_path,
+)
 
 #: A ``self``-rooted attribute path, as in :mod:`repro.analysis.dataflow`.
 Path = Tuple[str, ...]
-
-#: Write counts saturate here: "2" already means "more than once per
-#: instant", which is all any consumer distinguishes.
-MANY = 2
 
 
 # --------------------------------------------------------------------------
@@ -65,34 +60,14 @@ MANY = 2
 
 @dataclass(frozen=True)
 class WaitInfo:
-    """Classification of one ``yield`` site.
+    """Classification of one ``yield`` site."""
 
-    ``advances`` is True only when *every* resumption of this wait is
-    provably in a later simulated instant than its suspension — a pure
-    timed wait with a positive constant duration.  Event waits are False:
-    an immediate or delta notify can wake the thread within the same
-    instant.  ``anyof_timeout`` waits are False at the wait itself; the
-    ``result is TIMEOUT`` branch refinement (recorded on the guarding
-    branch node) supplies the advance on the timeout path.
-    """
-
-    kind: str  # 'timed' | 'event' | 'static' | 'anyof_timeout' | 'external' | 'unknown'
-    advances: bool
-    #: For ``event`` waits on a plain ``self.<...>`` path and for
-    #: ``external`` waits (``yield from self.<chain>.<method>(...)``): the
-    #: ``self``-rooted path of the waited object / call target, resolvable
-    #: on the live owner.  None for composite or unresolvable targets.
+    kind: str  # 'timed' | 'event' | 'static' | 'external' | 'unknown'
+    #: For ``external`` waits (``yield from self.<chain>.<method>(...)``):
+    #: the ``self``-rooted path of the call target, resolvable on the live
+    #: owner, and the method name invoked on it.
     target: Optional[Path] = None
-    #: For ``external`` waits: the method name invoked on ``target``.
     method: str = ""
-    #: For composite (``AnyOf``) waits: the member event paths, when every
-    #: member is a plain ``self.<...>`` path.  ``()`` is a resolved empty
-    #: member list (a pure-timeout ``AnyOf``); None means at least one
-    #: member escaped the static analysis.
-    members: Optional[Tuple[Path, ...]] = None
-    #: For composite waits: True when the ``AnyOf`` carries a timeout
-    #: (positional or keyword) that is not literally ``None``.
-    has_timeout: bool = False
 
 
 @dataclass
@@ -105,7 +80,7 @@ class CfgNode:
     source: str = ""
     succs: List[int] = field(default_factory=list)
     #: Conservative exception edges (any statement inside a ``try`` may
-    #: transfer to its handlers).  Used for reachability and write counts,
+    #: transfer to its handlers).  Used for reachability and entry writes,
     #: ignored by the livelock path search (waits do not raise in practice).
     exc_succs: List[int] = field(default_factory=list)
     reads: Tuple[Path, ...] = ()
@@ -120,10 +95,6 @@ class CfgNode:
     #: For ``if`` branches: the synthetic node where the arms rejoin
     #: (arms that return/break/continue bypass it).
     join_succ: int = -1
-    #: Timeout-guard refinement: traversing to ``true_succ`` /
-    #: ``false_succ`` provably starts a new simulated instant.
-    resets_true: bool = False
-    resets_false: bool = False
 
 
 @dataclass
@@ -149,50 +120,6 @@ class Cfg:
         return seen
 
 
-@dataclass(frozen=True)
-class WaitState:
-    """One state of a wait-state machine (START, a wait site, or END)."""
-
-    index: int
-    kind: str  # 'start' | 'end' | a WaitInfo kind
-    lineno: int
-    label: str
-    advances: bool
-    #: The full classification of the underlying wait site (None for the
-    #: synthetic START/END states).  Carries the resolvable target path
-    #: for event/external waits, which the interprocedural layer
-    #: (:mod:`repro.analysis.interproc`) resolves on the live owner.
-    info: Optional[WaitInfo] = None
-
-
-@dataclass
-class MachineEdge:
-    """Effects accumulated along paths between two wait states."""
-
-    src: int
-    dst: int
-    reads: FrozenSet[Path] = frozenset()
-    writes: FrozenSet[Path] = frozenset()
-
-
-@dataclass
-class WaitStateMachine:
-    """Wait-state machine of one thread body (states + effect edges)."""
-
-    fn_name: str
-    states: List[WaitState]
-    edges: List[MachineEdge]
-
-    def state_count(self) -> int:
-        return len(self.states)
-
-    def edge(self, src: int, dst: int) -> Optional[MachineEdge]:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e
-        return None
-
-
 @dataclass
 class FunctionControlFlow:
     """Everything the control-flow analysis proved about one function.
@@ -201,97 +128,33 @@ class FunctionControlFlow:
     ``yield from``, recursion through helpers, a yield in an expression
     position, unparseable source); consumers must then assume anything.
     The CFG is still returned when it could be built — reachability-style
-    queries degrade gracefully — but ``write_counts`` must not be trusted.
+    queries degrade gracefully.  External waits run their callee in a
+    foreign frame, so the effect sets cover only this body's own effects.
     """
 
     fn_name: str
     cfg: Optional[Cfg]
-    machine: Optional[WaitStateMachine]
-    #: Max writes per path per *instant* (threads) / per call (methods).
-    write_counts: Dict[Path, int] = field(default_factory=dict)
+    #: Paths written by some node reachable from the entry; a caller that
+    #: invokes this function as a plain ``self`` helper inherits them.
+    write_paths: FrozenSet[Path] = frozenset()
     #: Paths written on some path before the first wait (the entry segment).
     entry_writes: FrozenSet[Path] = frozenset()
     read_paths: FrozenSet[Path] = frozenset()
     unresolved: bool = False
     reason: str = ""
-    #: True when the body contains external (blocking-call) wait states.
-    #: Their callees run in foreign frames, so ``write_counts`` /
-    #: ``entry_writes`` cover only this body's own effects — single-writer
-    #: proofs must not trust them.
-    external_waits: bool = False
 
 
 # --------------------------------------------------------------------------
-# Expression effect scanning
+# Expression classification
 # --------------------------------------------------------------------------
 
-def _self_path(node: ast.AST) -> Optional[Path]:
-    """``self.a.b`` -> ``("a", "b")``; ``self`` -> ``()``; else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name) and node.id == "self":
-        return tuple(reversed(parts))
-    return None
-
-
-class _ExprScanner(ast.NodeVisitor):
-    """Occurrence-level read/write collection within one expression tree.
-
-    Unlike the dataflow facts visitor this keeps *multiplicity*: a
-    statement writing the same signal twice contributes two occurrences,
-    which is exactly what the per-instant write-count analysis needs.
-    Nested function definitions and lambdas are not entered.
-    """
-
-    def __init__(self) -> None:
-        self.reads: List[Path] = []
-        self.writes: List[Path] = []
-        self.self_calls: List[str] = []
-        self.yields: List[ast.AST] = []
-
-    def _skip_scope(self, node: ast.AST) -> None:
-        pass
-
-    visit_FunctionDef = _skip_scope
-    visit_AsyncFunctionDef = _skip_scope
-    visit_Lambda = _skip_scope
-
-    def visit_Yield(self, node: ast.Yield) -> None:
-        self.yields.append(node)
-        self.generic_visit(node)
-
-    def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
-        self.yields.append(node)
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            path = _self_path(func.value)
-            if func.attr == "write" and path:
-                self.writes.append(path)
-            elif func.attr == "read" and path:
-                self.reads.append(path)
-            elif path == ():
-                self.self_calls.append(func.attr)
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "value":
-            path = _self_path(node.value)
-            if path:
-                self.reads.append(path)
-        self.generic_visit(node)
-
-
-def _scan(*exprs: Optional[ast.AST]) -> _ExprScanner:
-    scanner = _ExprScanner()
+def _scan(*exprs: Optional[ast.AST]) -> _FactsVisitor:
+    """The dataflow facts of some expressions (nested scopes not entered)."""
+    visitor = _FactsVisitor()
     for expr in exprs:
         if expr is not None:
-            scanner.visit(expr)
-    return scanner
+            visitor.visit(expr)
+    return visitor
 
 
 def _const_truth(test: ast.AST) -> Optional[bool]:
@@ -304,94 +167,19 @@ def _const_truth(test: ast.AST) -> Optional[bool]:
     return None
 
 
-def _is_timeout_ref(node: ast.AST) -> bool:
-    return (isinstance(node, ast.Name) and node.id == "TIMEOUT") or (
-        isinstance(node, ast.Attribute) and node.attr == "TIMEOUT"
-    )
-
-
-def _timeout_guard(test: ast.AST, var: str) -> Optional[bool]:
-    """Parse ``var is [not] TIMEOUT``; True = the *true* branch timed out."""
-    if not (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.left, ast.Name)
-        and test.left.id == var
-        and _is_timeout_ref(test.comparators[0])
-    ):
-        return None
-    if isinstance(test.ops[0], (ast.Is, ast.Eq)):
-        return True
-    if isinstance(test.ops[0], (ast.IsNot, ast.NotEq)):
-        return False
-    return None
-
-
-def _positive_constant_duration(call: ast.Call) -> bool:
-    """True for ``ns(10)``-style calls with a positive numeric literal."""
-    if len(call.args) != 1 or call.keywords:
-        return False
-    arg = call.args[0]
-    return (
-        isinstance(arg, ast.Constant)
-        and isinstance(arg.value, (int, float))
-        and not isinstance(arg.value, bool)
-        and arg.value > 0
-    )
-
-
-def _anyof_members(call: ast.Call) -> Optional[Tuple[Path, ...]]:
-    """Member event paths of an ``AnyOf([...])`` literal, or None.
-
-    Resolvable only when the first argument is a list/tuple literal whose
-    every element is a plain ``self.<...>`` path.  An empty literal is the
-    (resolved) pure-timeout form and returns ``()``.
-    """
-    if not call.args or not isinstance(call.args[0], (ast.List, ast.Tuple)):
-        return None
-    members: List[Path] = []
-    for elt in call.args[0].elts:
-        path = _self_path(elt)
-        if not path:
-            return None
-        members.append(path)
-    return tuple(members)
-
-
 def _classify_wait(value: Optional[ast.AST]) -> WaitInfo:
     """Classify the expression yielded at a wait site."""
     if value is None or (isinstance(value, ast.Constant) and value.value is None):
-        return WaitInfo("static", False)
-    path = _self_path(value)
-    if path:
-        return WaitInfo("event", False, target=path)
+        return WaitInfo("static")
+    if _self_path(value):
+        return WaitInfo("event")
     if isinstance(value, ast.Call):
-        func = value.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
+        name = _call_name(value)
         if name in _TIME_FUNCS:
-            return WaitInfo("timed", _positive_constant_duration(value))
-        if name == "AnyOf":
-            timeout = next(
-                (kw.value for kw in value.keywords if kw.arg == "timeout"), None
-            )
-            if timeout is None and len(value.args) >= 2:
-                timeout = value.args[1]
-            has_timeout = timeout is not None and not (
-                isinstance(timeout, ast.Constant) and timeout.value is None
-            )
-            members = _anyof_members(value)
-            if has_timeout:
-                return WaitInfo(
-                    "anyof_timeout", False, members=members, has_timeout=True
-                )
-            return WaitInfo("event", False, members=members)
-        if name == "AllOf":
-            return WaitInfo("event", False)
-    return WaitInfo("unknown", False)
+            return WaitInfo("timed")
+        if name in ("AnyOf", "AllOf"):
+            return WaitInfo("event")
+    return WaitInfo("unknown")
 
 
 def _must_enter_loop(iter_expr: ast.AST) -> bool:
@@ -419,7 +207,7 @@ def _must_enter_loop(iter_expr: ast.AST) -> bool:
 
 
 class _Unresolvable(Exception):
-    """Internal: abandon machine-level guarantees with a reason."""
+    """Internal: abandon the analysis of a body with a reason."""
 
 
 # --------------------------------------------------------------------------
@@ -443,15 +231,10 @@ class _CfgBuilder:
         self.stack = stack  # code objects being spliced (recursion guard)
         self.nodes: List[CfgNode] = []
         self.unresolved_reason: Optional[str] = None
-        #: External (blocking-call) wait sites emitted; the resulting flow
-        #: is flagged so write-count consumers treat callee effects as
-        #: opaque.
-        self.external_count = 0
         self._loops: List[Tuple[int, List[int], int]] = []  # (head, breaks, fin_depth)
         self._returns: List[Tuple[List[int], int]] = []  # (collector, fin_depth)
         self._finallies: List[List[ast.stmt]] = []
         self._handlers: List[List[int]] = []
-        self._var_stores: List[Dict[str, int]] = []
         #: Inlined per-call effects of plainly-called self helpers, keyed by
         #: name, resolved lazily through :func:`analyze_function`.
         self._helper_cache: Dict[str, Optional[FunctionControlFlow]] = {}
@@ -509,8 +292,8 @@ class _CfgBuilder:
         self._helper_cache[name] = flow
         return flow
 
-    def _effects(self, scanner: _ExprScanner) -> Tuple[Tuple[Path, ...], Tuple[Path, ...]]:
-        """Statement effects: direct occurrences plus plain self-call bodies."""
+    def _effects(self, scanner: _FactsVisitor) -> Tuple[Tuple[Path, ...], Tuple[Path, ...]]:
+        """Statement effects: direct accesses plus plain self-call bodies."""
         reads = list(scanner.reads)
         writes = list(scanner.writes)
         for name in scanner.self_calls:
@@ -520,13 +303,12 @@ class _CfgBuilder:
             if flow.unresolved:
                 raise _Unresolvable(f"helper self.{name}(): {flow.reason}")
             reads.extend(flow.read_paths)
-            for path, count in flow.write_counts.items():
-                writes.extend([path] * min(count, MANY))
+            writes.extend(flow.write_paths)
         return tuple(reads), tuple(writes)
 
     def _stmt_node(self, stmt: ast.stmt, *exprs: Optional[ast.AST]) -> int:
         scanner = _scan(*exprs)
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(
                 f"yield in an unsupported expression position (line {stmt.lineno})"
             )
@@ -547,38 +329,13 @@ class _CfgBuilder:
 
     # -- statement emission --------------------------------------------------
     def _emit_block(self, stmts: List[ast.stmt], frontier: List[int]) -> List[int]:
-        pending_guard: Optional[str] = None  # result var of a timeout-composite wait
         for stmt in stmts:
-            guard = pending_guard
-            pending_guard = None
-            if isinstance(stmt, (ast.If,)) and guard is not None:
-                frontier = self._emit_if(stmt, frontier, guard_var=guard)
-            elif isinstance(stmt, ast.If):
+            if isinstance(stmt, ast.If):
                 frontier = self._emit_if(stmt, frontier)
-            elif isinstance(stmt, ast.Expr) and isinstance(
+            elif isinstance(stmt, (ast.Expr, ast.Assign)) and isinstance(
                 stmt.value, (ast.Yield, ast.YieldFrom)
             ):
-                frontier = self._emit_wait(stmt, stmt.value, None, frontier)
-            elif (
-                isinstance(stmt, ast.Assign)
-                and isinstance(stmt.value, (ast.Yield, ast.YieldFrom))
-            ):
-                target = None
-                if len(stmt.targets) == 1 and isinstance(stmt.targets[0], ast.Name):
-                    target = stmt.targets[0].id
-                frontier = self._emit_wait(stmt, stmt.value, target, frontier)
-                # Timeout-guard refinement: the wait's own classification
-                # (first-class, not read back off the emitted CFG) says
-                # whether `target is TIMEOUT` on the next statement proves
-                # the timer fired.  Single-store targets only: a re-assigned
-                # variable could carry a stale verdict into the guard.
-                if (
-                    target is not None
-                    and isinstance(stmt.value, ast.Yield)
-                    and _classify_wait(stmt.value.value).kind == "anyof_timeout"
-                    and self._var_stores[-1].get(target, 0) == 1
-                ):
-                    pending_guard = target
+                frontier = self._emit_wait(stmt, stmt.value, frontier)
             elif isinstance(stmt, ast.While):
                 frontier = self._emit_while(stmt, frontier)
             elif isinstance(stmt, ast.For):
@@ -639,11 +396,9 @@ class _CfgBuilder:
                 frontier = [node]
         return frontier
 
-    def _emit_if(
-        self, stmt: ast.If, frontier: List[int], guard_var: Optional[str] = None
-    ) -> List[int]:
+    def _emit_if(self, stmt: ast.If, frontier: List[int]) -> List[int]:
         scanner = _scan(stmt.test)
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"yield inside a branch condition (line {stmt.lineno})")
         reads, writes = self._effects(scanner)
         branch = self._new(
@@ -652,12 +407,6 @@ class _CfgBuilder:
         node = self.nodes[branch]
         node.is_if = True
         node.const_test = _const_truth(stmt.test)
-        if guard_var is not None:
-            timed_out = _timeout_guard(stmt.test, guard_var)
-            if timed_out is True:
-                node.resets_true = True
-            elif timed_out is False:
-                node.resets_false = True
         self._connect(frontier, branch)
         t_arm = self._new("arm")
         f_arm = self._new("arm")
@@ -683,7 +432,7 @@ class _CfgBuilder:
 
     def _emit_while(self, stmt: ast.While, frontier: List[int]) -> List[int]:
         scanner = _scan(stmt.test)
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"yield inside a loop condition (line {stmt.lineno})")
         reads, writes = self._effects(scanner)
         head = self._new(
@@ -715,7 +464,7 @@ class _CfgBuilder:
 
     def _emit_for(self, stmt: ast.For, frontier: List[int]) -> List[int]:
         scanner = _scan(stmt.iter)
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"yield inside a loop iterable (line {stmt.lineno})")
         reads, writes = self._effects(scanner)
         must_enter = _must_enter_loop(stmt.iter)
@@ -773,11 +522,7 @@ class _CfgBuilder:
         return out
 
     def _emit_wait(
-        self,
-        stmt: ast.stmt,
-        value: ast.AST,
-        target: Optional[str],
-        frontier: List[int],
+        self, stmt: ast.stmt, value: ast.AST, frontier: List[int]
     ) -> List[int]:
         if isinstance(value, ast.YieldFrom):
             call = value.value
@@ -792,7 +537,7 @@ class _CfgBuilder:
             )
         assert isinstance(value, ast.Yield)
         scanner = _scan(value.value)
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"nested yield (line {stmt.lineno})")
         reads, writes = self._effects(scanner)
         info = _classify_wait(value.value)
@@ -815,17 +560,14 @@ class _CfgBuilder:
 
         The callee is not spliced — its frame belongs to the target object,
         not this module — so the whole call becomes one *external* wait
-        state carrying the target path and method name.  Its internal
-        effects are invisible here, which is why :func:`analyze_function`
-        flags the flow (``external_waits``) and write-count consumers must
-        not trust the counts for such flows.
+        node carrying the target path and method name.  Its internal
+        effects are invisible here.
         """
         scanner = _scan(*call.args, *[kw.value for kw in call.keywords])
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"yield inside call arguments (line {stmt.lineno})")
         reads, writes = self._effects(scanner)
-        self.external_count += 1
-        info = WaitInfo("external", False, target=root, method=call.func.attr)
+        info = WaitInfo("external", target=root, method=call.func.attr)
         node = self._new(
             "wait",
             lineno=stmt.lineno,
@@ -840,7 +582,7 @@ class _CfgBuilder:
     def _splice(self, stmt: ast.stmt, call: ast.Call, frontier: List[int]) -> List[int]:
         """Inline ``yield from self.helper(...)`` into the current graph."""
         scanner = _scan(*call.args, *[kw.value for kw in call.keywords])
-        if scanner.yields:
+        if scanner.yields_in_body:
             raise _Unresolvable(f"yield inside call arguments (line {stmt.lineno})")
         arg_reads, arg_writes = self._effects(scanner)
         if arg_reads or arg_writes:
@@ -868,9 +610,7 @@ class _CfgBuilder:
         self.stack = self.stack + (code,)
         collector: List[int] = []
         self._returns.append((collector, 0))
-        self._var_stores.append(_store_counts(fn_node))
         out = self._emit_block(fn_node.body, frontier)
-        self._var_stores.pop()
         self._returns.pop()
         self._loops, self._finallies, self._handlers, self.stack = saved
         return out + collector
@@ -880,20 +620,10 @@ class _CfgBuilder:
         entry = self._new("entry")
         collector: List[int] = []
         self._returns.append((collector, 0))
-        self._var_stores.append(_store_counts(fn_node))
         frontier = self._emit_block(fn_node.body, [entry])
         exit_idx = self._new("exit")
         self._connect(frontier + collector, exit_idx)
         return Cfg(self.fn_name, self.nodes, entry, exit_idx)
-
-
-def _store_counts(fn_node: ast.AST) -> Dict[str, int]:
-    """How many times each local name is assigned in the function body."""
-    counts: Dict[str, int] = {}
-    for node in ast.walk(fn_node):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            counts[node.id] = counts.get(node.id, 0) + 1
-    return counts
 
 
 _AST_CACHE: Dict[object, Optional[ast.FunctionDef]] = {}
@@ -904,135 +634,42 @@ def _fn_ast(func: types.FunctionType) -> Optional[ast.FunctionDef]:
     code = func.__code__
     if code in _AST_CACHE:
         return _AST_CACHE[code]
-    node: Optional[ast.FunctionDef] = None
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
-        tree = None
-    if tree is not None:
-        node = next(
-            (n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
-            None,
-        )
-        if isinstance(node, ast.AsyncFunctionDef):
-            node = None
+    node = _parse_function(func)
+    if isinstance(node, ast.AsyncFunctionDef):
+        node = None
     _AST_CACHE[code] = node
     return node
 
 
-# --------------------------------------------------------------------------
-# Machine extraction + write-count analysis
-# --------------------------------------------------------------------------
+def _entry_writes(cfg: Cfg) -> FrozenSet[Path]:
+    """Paths written on the entry segment: before the first wait.
 
-def extract_machine(cfg: Cfg) -> Tuple[WaitStateMachine, Dict[Path, int], FrozenSet[Path]]:
-    """Wait-state machine, per-instant write counts, and entry-segment writes.
-
-    One forward dataflow over the CFG tracks, per node:
-
-    * which wait state each incoming path last passed (START before the
-      first wait) together with the read/write effects accumulated since —
-      finalized into machine edges at the next wait (or END);
-    * the per-path write *counts* within the current simulated instant,
-      joined by max, reset when crossing a wait that provably advances
-      time (or the ``TIMEOUT`` branch of a guarded ``AnyOf`` wait).
+    A node counts when a wait-free path over normal and exception edges
+    leads to it from the entry and on from it to a wait or the exit.  A
+    wait ends the segment, and its own writes count; a write followed
+    only by an unhandled ``raise`` does not.
     """
-    wait_nodes = [n.index for n in cfg.nodes if n.kind == "wait"]
-    state_of: Dict[int, int] = {}
-    states: List[WaitState] = [WaitState(0, "start", 0, "START", False)]
-    for node_idx in wait_nodes:
-        node = cfg.nodes[node_idx]
-        state = WaitState(
-            len(states), node.wait.kind, node.lineno, node.source, node.wait.advances,
-            node.wait,
-        )
-        state_of[node_idx] = state.index
-        states.append(state)
-    end_state = WaitState(len(states), "end", 0, "END", False)
-    states.append(end_state)
-
-    Seg = Dict[int, Tuple[FrozenSet[Path], FrozenSet[Path]]]
-    seg_in: Dict[int, Seg] = {cfg.entry: {0: (frozenset(), frozenset())}}
-    cnt_in: Dict[int, Dict[Path, int]] = {cfg.entry: {}}
-    edges: Dict[Tuple[int, int], Tuple[Set[Path], Set[Path]]] = {}
-    global_counts: Dict[Path, int] = {}
-
-    def merge(dst: int, seg: Seg, cnt: Dict[Path, int]) -> bool:
-        changed = False
-        d_seg = seg_in.setdefault(dst, {})
-        for origin, (reads, writes) in seg.items():
-            old = d_seg.get(origin)
-            if old is None:
-                d_seg[origin] = (reads, writes)
-                changed = True
-            else:
-                merged = (old[0] | reads, old[1] | writes)
-                if merged != old:
-                    d_seg[origin] = merged
-                    changed = True
-        d_cnt = cnt_in.setdefault(dst, {})
-        for path, count in cnt.items():
-            if count > d_cnt.get(path, 0):
-                d_cnt[path] = count
-                changed = True
-        return changed
-
-    worklist = [cfg.entry]
-    iterations = 0
-    limit = 40 * (len(cfg.nodes) + 1) * (len(states) + 1)
-    while worklist:
-        iterations += 1
-        if iterations > limit:  # pragma: no cover - defensive fixpoint guard
-            raise _Unresolvable("write-count analysis did not converge")
-        node = cfg.nodes[worklist.pop()]
-        seg = seg_in.get(node.index, {})
-        cnt = dict(cnt_in.get(node.index, {}))
-        # Apply this node's own effects.
-        out_seg: Seg = {}
-        for origin, (reads, writes) in seg.items():
-            out_seg[origin] = (reads | frozenset(node.reads), writes | frozenset(node.writes))
-        for path in node.writes:
-            cnt[path] = min(cnt.get(path, 0) + 1, MANY)
-        for path, count in cnt.items():
-            if count > global_counts.get(path, 0):
-                global_counts[path] = count
-        out_cnt = cnt
+    nodes = cfg.nodes
+    # Keys: the nodes reached from the entry without passing a wait.
+    preds: Dict[int, List[int]] = {cfg.entry: []}
+    stack = [cfg.entry]
+    while stack:
+        node = nodes[stack.pop()]
         if node.kind == "wait":
-            state = state_of[node.index]
-            for origin, (reads, writes) in out_seg.items():
-                acc = edges.setdefault((origin, state), (set(), set()))
-                acc[0].update(reads)
-                acc[1].update(writes)
-            out_seg = {state: (frozenset(), frozenset())}
-            if node.wait.advances:
-                out_cnt = {}
-        elif node.kind == "exit":
-            for origin, (reads, writes) in out_seg.items():
-                acc = edges.setdefault((origin, end_state.index), (set(), set()))
-                acc[0].update(reads)
-                acc[1].update(writes)
             continue
-        for succ in node.succs:
-            succ_cnt = out_cnt
-            if node.resets_true and succ == node.true_succ:
-                succ_cnt = {}
-            elif node.resets_false and succ == node.false_succ:
-                succ_cnt = {}
-            if merge(succ, out_seg, succ_cnt):
-                worklist.append(succ)
-        for succ in node.exc_succs:
-            if merge(succ, out_seg, out_cnt):
-                worklist.append(succ)
-
-    machine_edges = [
-        MachineEdge(src, dst, frozenset(reads), frozenset(writes))
-        for (src, dst), (reads, writes) in sorted(edges.items())
-    ]
-    entry_writes: Set[Path] = set()
-    for edge in machine_edges:
-        if edge.src == 0:
-            entry_writes.update(edge.writes)
-    machine = WaitStateMachine(cfg.fn_name, states, machine_edges)
-    return machine, global_counts, frozenset(entry_writes)
+        for succ in node.succs + node.exc_succs:
+            if succ not in preds:
+                preds[succ] = []
+                stack.append(succ)
+            preds[succ].append(node.index)
+    live = {idx for idx in preds if nodes[idx].kind in ("wait", "exit")}
+    stack = list(live)
+    while stack:
+        for pred in preds[stack.pop()]:
+            if pred not in live:
+                live.add(pred)
+                stack.append(pred)
+    return frozenset(path for idx in live for path in nodes[idx].writes)
 
 
 # --------------------------------------------------------------------------
@@ -1056,7 +693,7 @@ def analyze_function(
     code = getattr(func, "__code__", None)
     if code is None:
         return FunctionControlFlow(
-            getattr(func, "__name__", repr(func)), None, None,
+            getattr(func, "__name__", repr(func)), None,
             unresolved=True, reason="not a plain function",
         )
     key = (code, owner_type)
@@ -1066,51 +703,32 @@ def analyze_function(
     fn_name = getattr(func, "__qualname__", getattr(func, "__name__", "?"))
     if any(code is c for c in _stack):
         # Context-dependent verdict: do not cache it.
-        return FunctionControlFlow(
-            fn_name, None, None, unresolved=True, reason="recursive helper"
-        )
+        return FunctionControlFlow(fn_name, None, unresolved=True, reason="recursive helper")
     fn_node = _fn_ast(func)
-    if fn_node is None:
-        flow = FunctionControlFlow(
-            fn_name, None, None, unresolved=True, reason="source unavailable"
-        )
-        _FLOW_CACHE[key] = flow
-        return flow
     builder = _CfgBuilder(owner_type, fn_name, _stack + (code,))
     try:
+        if fn_node is None:
+            raise _Unresolvable("source unavailable")
         cfg = builder.build(fn_node)
-        machine, counts, entry_writes = extract_machine(cfg)
+        reachable = cfg.reachable()
+        flow = FunctionControlFlow(
+            fn_name,
+            cfg,
+            write_paths=frozenset(p for i in reachable for p in cfg.nodes[i].writes),
+            entry_writes=_entry_writes(cfg),
+            read_paths=frozenset(p for node in cfg.nodes for p in node.reads),
+            unresolved=builder.unresolved_reason is not None,
+            reason=builder.unresolved_reason or "",
+        )
     except _Unresolvable as exc:
-        flow = FunctionControlFlow(
-            fn_name, None, None, unresolved=True, reason=str(exc)
-        )
-        _FLOW_CACHE[key] = flow
-        return flow
+        flow = FunctionControlFlow(fn_name, None, unresolved=True, reason=str(exc))
     except RecursionError:  # pragma: no cover - deep nesting guard
-        flow = FunctionControlFlow(
-            fn_name, None, None, unresolved=True, reason="nesting too deep"
-        )
-        _FLOW_CACHE[key] = flow
-        return flow
+        flow = FunctionControlFlow(fn_name, None, unresolved=True, reason="nesting too deep")
     except Exception as exc:  # never crash the caller on an analysis bug
         flow = FunctionControlFlow(
-            fn_name, None, None, unresolved=True,
+            fn_name, None, unresolved=True,
             reason=f"internal error: {type(exc).__name__}: {exc}",
         )
-        _FLOW_CACHE[key] = flow
-        return flow
-    read_paths = frozenset(p for node in cfg.nodes for p in node.reads)
-    flow = FunctionControlFlow(
-        fn_name,
-        cfg,
-        machine,
-        write_counts=counts,
-        entry_writes=entry_writes,
-        read_paths=read_paths,
-        unresolved=builder.unresolved_reason is not None,
-        reason=builder.unresolved_reason or "",
-        external_waits=builder.external_count > 0,
-    )
     _FLOW_CACHE[key] = flow
     return flow
 
@@ -1149,28 +767,19 @@ def analyze_process(process: object) -> ProcessControlFlow:
     kind = getattr(process, "kind", "process")
     if fn is None or owner is None:
         flow = FunctionControlFlow(
-            name, None, None, unresolved=True,
+            name, None, unresolved=True,
             reason="free-function process (no self to root paths at)",
         )
         return ProcessControlFlow(process, None, name, kind, flow)
     return ProcessControlFlow(process, owner, name, kind, analyze_function(type(owner), fn))
 
 
-def reachable_wait_states(machine: WaitStateMachine) -> List[WaitState]:
-    """Wait states some run can actually suspend in (dead waits dropped)."""
-    succs: Dict[int, List[int]] = {}
-    for edge in machine.edges:
-        succs.setdefault(edge.src, []).append(edge.dst)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for dst in succs.get(stack.pop(), ()):
-            if dst not in seen:
-                seen.add(dst)
-                stack.append(dst)
-    return [
-        s for s in machine.states if s.kind not in ("start", "end") and s.index in seen
-    ]
+def reachable_waits(flow: FunctionControlFlow) -> List[CfgNode]:
+    """Wait nodes some run can actually suspend in (dead waits dropped)."""
+    if flow.cfg is None:
+        return []
+    reachable = flow.cfg.reachable()
+    return [node for node in flow.cfg.nodes if node.kind == "wait" and node.index in reachable]
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,10 @@ The analysis is two-phase so it stays near-linear in design size:
 1. *Syntactic phase* — one AST walk per function body, producing
    :class:`_FnFacts` (attribute paths rooted at ``self``, not objects).
    Cached per code object, so a class instantiated a hundred times is
-   parsed once.
+   parsed once.  The parser (:func:`_parse_function`), the path helper
+   (:func:`_self_path`) and the visitor (:class:`_FactsVisitor`) are the
+   one AST front-end of the analysis package: the control-flow layer
+   (:mod:`repro.analysis.cfg`) runs the same visitor per statement.
 2. *Resolution phase* — per process, the attribute paths are resolved
    against the **live** elaborated design with ``getattr`` chains.  A path
    landing on a :class:`~repro.kernel.Port` is followed through
@@ -27,10 +30,11 @@ The analysis is two-phase so it stays near-linear in design size:
    attributed to the signal itself, not the port object.
 
 Everything is a conservative approximation: unresolvable constructs set
-``unresolved_*`` flags that make the rules *weaker* (fewer findings), never
-wrong.  :func:`cross_check` closes the loop the other way — a short bounded
-simulation tags each REP401/REP405 finding ``confirmed``/``unconfirmed``
-against actual kernel behaviour.
+the ``unresolved_notify`` / ``opaque_calls`` flags, and unresolvable wait
+targets are left out, which makes the rules *weaker* (fewer findings),
+never wrong.  :func:`cross_check` closes the loop the other way — a short
+bounded simulation tags each REP401/REP405 finding
+``confirmed``/``unconfirmed`` against actual kernel behaviour.
 """
 
 from __future__ import annotations
@@ -105,13 +109,32 @@ class _FnFacts:
     notifies: Tuple[Tuple[str, ...], ...]
     waits: Tuple[Tuple[str, ...], ...]
     self_calls: Tuple[str, ...]
-    static_wait: bool
-    unresolved_wait: bool
     unresolved_notify: bool
     yields_in_body: bool
     #: Body calls something whose effects the path analysis cannot see
     #: (unknown free function, unknown method, write/read via an alias).
     opaque_calls: bool = False
+
+
+def _self_path(node: ast.AST) -> Optional[Tuple[str, ...]]:
+    """``self.a.b`` -> ``("a", "b")``; ``self`` -> ``()``; else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id == "self":
+        return tuple(reversed(parts))
+    return None
+
+
+def _call_name(call: ast.Call) -> Optional[str]:
+    """The called name of ``f(...)`` or ``x.f(...)``, else None."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
 
 
 class _FactsVisitor(ast.NodeVisitor):
@@ -120,7 +143,8 @@ class _FactsVisitor(ast.NodeVisitor):
     Nested function definitions and lambdas are *not* entered: their bodies
     run in another context (callbacks, listeners), so attributing their
     effects to this process would over-claim — and a ``yield`` inside one
-    must not count as the process itself blocking.
+    must not count as the process itself blocking.  The control-flow layer
+    (:mod:`repro.analysis.cfg`) runs the same visitor per statement.
     """
 
     def __init__(self) -> None:
@@ -129,8 +153,6 @@ class _FactsVisitor(ast.NodeVisitor):
         self.notifies: List[Tuple[str, ...]] = []
         self.waits: List[Tuple[str, ...]] = []
         self.self_calls: List[str] = []
-        self.static_wait = False
-        self.unresolved_wait = False
         self.unresolved_notify = False
         self.yields_in_body = False
         self.opaque_calls = False
@@ -143,24 +165,12 @@ class _FactsVisitor(ast.NodeVisitor):
     visit_AsyncFunctionDef = _skip_scope
     visit_Lambda = _skip_scope
 
-    # -- helpers ------------------------------------------------------------
-    @staticmethod
-    def _path(node: ast.AST) -> Optional[Tuple[str, ...]]:
-        """``self.a.b`` -> ``("a", "b")``; ``self`` -> ``()``; else None."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name) and node.id == "self":
-            return tuple(reversed(parts))
-        return None
-
     # -- effects ------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
             attr = func.attr
-            path = self._path(func.value)
+            path = _self_path(func.value)
             if attr == "write":
                 if path == ():
                     self.self_calls.append(attr)
@@ -198,7 +208,7 @@ class _FactsVisitor(ast.NodeVisitor):
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr == "value":
-            path = self._path(node.value)
+            path = _self_path(node.value)
             if path:
                 self.reads.append(path)
             elif path is None:
@@ -209,56 +219,45 @@ class _FactsVisitor(ast.NodeVisitor):
                 self.opaque_calls = True
         self.generic_visit(node)
 
-    def _record_wait(self, value: ast.AST) -> None:
-        path = self._path(value)
-        if path:
-            self.waits.append(path)
-            return
-        if isinstance(value, ast.Call):
-            func = value.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name in _TIME_FUNCS:
-                return  # pure timeout; no event involved
-            if name in ("AnyOf", "AllOf"):
-                if value.args and isinstance(value.args[0], (ast.List, ast.Tuple)):
-                    for elt in value.args[0].elts:
-                        elt_path = self._path(elt)
-                        if elt_path:
-                            self.waits.append(elt_path)
-                        else:
-                            self.unresolved_wait = True
-                else:
-                    self.unresolved_wait = True
-                return
-        self.unresolved_wait = True
-
     def visit_Yield(self, node: ast.Yield) -> None:
+        """Record the events a ``yield`` waits on: a ``self.<...>`` path or
+        the ``self.<...>`` members of an ``AnyOf``/``AllOf`` list literal."""
         self.yields_in_body = True
         value = node.value
-        if value is None or (isinstance(value, ast.Constant) and value.value is None):
-            self.static_wait = True
-        else:
-            self._record_wait(value)
+        path = _self_path(value)
+        if path:
+            self.waits.append(path)
+        elif (
+            isinstance(value, ast.Call)
+            and _call_name(value) in ("AnyOf", "AllOf")
+            and value.args
+            and isinstance(value.args[0], (ast.List, ast.Tuple))
+        ):
+            for elt in value.args[0].elts:
+                elt_path = _self_path(elt)
+                if elt_path:
+                    self.waits.append(elt_path)
         self.generic_visit(node)
 
     def visit_YieldFrom(self, node: ast.YieldFrom) -> None:
         self.yields_in_body = True
-        value = node.value
-        inlined = (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Attribute)
-            and isinstance(value.func.value, ast.Name)
-            and value.func.value.id == "self"
-        )
-        if not inlined:
-            # Delegating to a foreign generator (port call, channel method):
-            # whatever it waits on is invisible here.
-            self.unresolved_wait = True
         self.generic_visit(node)
+
+
+def _parse_function(func: object) -> Optional[ast.AST]:
+    """The first (async) function definition in ``func``'s source, or None.
+
+    The one parser both analysis layers use.  Nothing here keeps the tree:
+    the dataflow layer retains only the facts it extracts.
+    """
+    try:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
+        return None
+    return next(
+        (n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
+        None,
+    )
 
 
 #: Facts per code object (None = unparseable).  Class methods are parsed
@@ -275,31 +274,21 @@ def _fn_facts(func: object) -> Optional[_FnFacts]:
     if code in _FACTS_CACHE:
         return _FACTS_CACHE[code]
     facts: Optional[_FnFacts] = None
-    try:
-        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
-    except (OSError, TypeError, SyntaxError, IndentationError, ValueError):
-        tree = None
-    if tree is not None:
-        fn_node = next(
-            (n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))),
-            None,
+    fn_node = _parse_function(func)
+    if fn_node is not None:
+        visitor = _FactsVisitor()
+        for stmt in fn_node.body:
+            visitor.visit(stmt)
+        facts = _FnFacts(
+            writes=tuple(visitor.writes),
+            reads=tuple(visitor.reads),
+            notifies=tuple(visitor.notifies),
+            waits=tuple(visitor.waits),
+            self_calls=tuple(dict.fromkeys(visitor.self_calls)),
+            unresolved_notify=visitor.unresolved_notify,
+            yields_in_body=visitor.yields_in_body,
+            opaque_calls=visitor.opaque_calls,
         )
-        if fn_node is not None:
-            visitor = _FactsVisitor()
-            for stmt in fn_node.body:
-                visitor.visit(stmt)
-            facts = _FnFacts(
-                writes=tuple(visitor.writes),
-                reads=tuple(visitor.reads),
-                notifies=tuple(visitor.notifies),
-                waits=tuple(visitor.waits),
-                self_calls=tuple(dict.fromkeys(visitor.self_calls)),
-                static_wait=visitor.static_wait,
-                unresolved_wait=visitor.unresolved_wait,
-                unresolved_notify=visitor.unresolved_notify,
-                yields_in_body=visitor.yields_in_body,
-                opaque_calls=visitor.opaque_calls,
-            )
     _FACTS_CACHE[code] = facts
     return facts
 
@@ -358,9 +347,9 @@ class ProcessSummary:
     ``owner`` is the object the body's ``self`` refers to (usually the
     declaring module); effects of same-class helper methods invoked as
     ``self.helper(...)`` / ``yield from self.helper(...)`` are folded in
-    transitively.  The ``unresolved_*`` flags record that some construct
-    escaped the analysis, which consuming rules must treat as "anything
-    could happen" (i.e. stay silent).
+    transitively.  The ``unresolved_notify`` and ``opaque_calls`` flags
+    record that some construct escaped the analysis, which consuming rules
+    must treat as "anything could happen" (i.e. stay silent).
     """
 
     process: object
@@ -372,8 +361,6 @@ class ProcessSummary:
     signal_writes: List[Signal] = field(default_factory=list)
     waited_events: List[Event] = field(default_factory=list)
     notified_events: List[Event] = field(default_factory=list)
-    static_wait: bool = False
-    unresolved_wait: bool = False
     unresolved_notify: bool = False
     yields_in_body: bool = False
     opaque_calls: bool = False
@@ -396,14 +383,11 @@ def _accumulate(
     seen.add(code)
     facts = _fn_facts(plain)
     if facts is None:
-        summary.unresolved_wait = True
         summary.unresolved_notify = True
         summary.opaque_calls = True
         return
     if top:
         summary.yields_in_body = facts.yields_in_body
-    summary.static_wait = summary.static_wait or facts.static_wait
-    summary.unresolved_wait = summary.unresolved_wait or facts.unresolved_wait
     summary.unresolved_notify = summary.unresolved_notify or facts.unresolved_notify
     summary.opaque_calls = summary.opaque_calls or facts.opaque_calls
     for path in facts.writes:
@@ -422,12 +406,9 @@ def _accumulate(
         elif obj is _UNRESOLVED:
             summary.unresolved_notify = True
     for path in facts.waits:
-        obj = _resolve_path(owner, path)
-        event = _as_event(obj)
+        event = _as_event(_resolve_path(owner, path))
         if event is not None:
             _add_unique(summary.waited_events, event)
-        elif not isinstance(obj, SimTime):
-            summary.unresolved_wait = True
     for name in facts.self_calls:
         target = getattr(type(owner), name, None)
         target = getattr(target, "__func__", target)
@@ -449,7 +430,6 @@ def summarize_process(process: object) -> ProcessSummary:
     if fn is None or owner is None:
         # A free function / closure process: self-rooted resolution is
         # impossible, so report "anything could happen".
-        summary.unresolved_wait = True
         summary.unresolved_notify = True
         summary.opaque_calls = True
         return summary

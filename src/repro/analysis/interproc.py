@@ -1,22 +1,21 @@
-"""Interprocedural wait-effect analysis.
+"""Interprocedural blocking-call analysis.
 
 The control-flow layer (:mod:`repro.analysis.cfg`) analyzes one function at
-a time: a thread body's wait-state machine classifies each ``yield`` site,
-but a *blocking call* (``yield from self.chan.put(x)``) is a single opaque
-``external`` state — what the callee can suspend on, which events it
-notifies, which locks it releases, all happen in a foreign frame.
+a time: a *blocking call* (``yield from self.chan.put(x)``) is a single
+opaque ``external`` wait node — what the callee can suspend on and which
+locks it releases all happen in a foreign frame.
 
-This module bridges that gap with per-callee **wait-effect summaries** —
-the transitive closure of wait kinds a method can suspend on, the events
-it waits on and notifies (as resolvable ``self.*`` paths), and the
-channels/locks it acquires and releases — memoized per ``(code object,
-owner class)`` with conservative ``unresolved`` degradation for
-recursion, foreign ``yield from`` of non-analyzable generators, and
-dynamic dispatch.  Its consumer is the REP6xx ``interproc`` lint layer
-(:mod:`repro.analysis.lint`): :func:`lock_order_trace`,
-:func:`acquire_sites` and :func:`release_closure` feed the static
-wait-for/lock-order analysis that flags the paper's Section 5.4
-config-bus deadlock *before* simulation.
+This module follows those calls on the live design.  Its consumer is the
+REP6xx ``interproc`` lint layer (:mod:`repro.analysis.lint`), which flags
+the paper's Section 5.4 config-bus deadlock *before* simulation:
+
+* :func:`acquire_sites` — the blocking ``Mutex.lock`` / ``Semaphore.wait``
+  calls a thread can reach (its reachable external waits, resolved on the
+  live owner);
+* :func:`lock_order_trace` — the thread body's mutex acquire/release and
+  bus-call sequence in source order;
+* :func:`release_closure` — the channels/locks a function releases,
+  following ``self`` helpers and calls on resolvable foreign objects.
 
 Everything follows the conservative contract of the other analysis
 layers: never raise; unsupported constructs degrade to ``unresolved``
@@ -28,20 +27,10 @@ from __future__ import annotations
 import ast
 import types
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
-from .cfg import (
-    Path,
-    _fn_ast,
-    _self_path,
-    analyze_function,
-    analyze_process,
-    reachable_wait_states,
-)
-from .dataflow import _UNRESOLVED, _resolve_path
-
-#: Method names whose call *notifies* an event on the receiver path.
-_NOTIFY_METHODS = frozenset({"notify", "notify_delta"})
+from .cfg import Path, _fn_ast, analyze_process, reachable_waits
+from .dataflow import _UNRESOLVED, _resolve_path, _self_path
 
 #: Method names whose call *releases* a channel/lock on the receiver path.
 _RELEASE_METHODS = frozenset({"unlock", "post", "release"})
@@ -54,147 +43,11 @@ ACQUIRE_COUNTERPARTS = {
 }
 
 
-# --------------------------------------------------------------------------
-# Per-function wait-effect summaries
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WaitEffectSummary:
-    """Everything one function can do to the wait/notify state of a design.
-
-    Paths are ``self``-rooted *in the callee's frame* — consumers resolve
-    them on the live target object.  ``unresolved`` means some construct
-    escaped the static analysis (recursion, foreign ``yield from`` of an
-    unanalyzable generator, a yield in an expression position, source
-    unavailable); every field must then be read as "anything".
-    """
-
-    fn_name: str
-    #: Wait-state kinds reachable in the body ('timed', 'event',
-    #: 'anyof_timeout', 'external', 'static', 'unknown').
-    wait_kinds: FrozenSet[str] = frozenset()
-    #: Event paths of plain ``yield self.<...>`` waits.
-    waits_on: Tuple[Path, ...] = ()
-    #: Member event paths of composite (``AnyOf``) waits.
-    composite_waits: Tuple[Path, ...] = ()
-    #: Paths receiving ``.notify()`` / ``.notify_delta()`` (including
-    #: through spliced ``self`` helper calls).
-    notifies: Tuple[Path, ...] = ()
-    #: Blocking calls into other components: ``(target path, method)``.
-    acquires: Tuple[Tuple[Path, str], ...] = ()
-    #: ``.unlock()`` / ``.post()`` / ``.release()`` calls: the receiver
-    #: paths (including through spliced ``self`` helper calls).
-    releases: Tuple[Tuple[Path, str], ...] = ()
-    unresolved: bool = False
-    reason: str = ""
-
-
-_SUMMARY_CACHE: Dict[Tuple[object, Optional[type]], WaitEffectSummary] = {}
-
-
 def _plain_function(owner_type: Optional[type], method: str) -> Optional[types.FunctionType]:
     """``owner_type.method`` as a plain function, or None."""
     fn = getattr(owner_type, method, None)
     fn = getattr(fn, "__func__", fn)
     return fn if isinstance(fn, types.FunctionType) else None
-
-
-def _scan_calls(
-    owner_type: Optional[type],
-    func: types.FunctionType,
-    notifies: List[Path],
-    releases: List[Tuple[Path, str]],
-    _stack: Tuple[object, ...],
-) -> bool:
-    """AST scan for notify/release calls; recurses into ``self.helper()``
-    calls on the same object (zero-hop paths), mirroring the CFG builder's
-    helper splicing.  Returns False when source is unavailable."""
-    fn_node = _fn_ast(func)
-    if fn_node is None:
-        return False
-    for node in ast.walk(fn_node):
-        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-            continue
-        attr = node.func.attr
-        path = _self_path(node.func.value)
-        if path is None:
-            continue
-        if path == ():
-            # A helper invoked on the same object: splice its effects in.
-            helper = _plain_function(owner_type, attr)
-            if helper is not None and not any(
-                helper.__code__ is c for c in _stack
-            ):
-                _scan_calls(
-                    owner_type, helper, notifies, releases,
-                    _stack + (helper.__code__,),
-                )
-            continue
-        if attr in _NOTIFY_METHODS:
-            notifies.append(path)
-        elif attr in _RELEASE_METHODS:
-            releases.append((path, attr))
-    return True
-
-
-def summarize_function(
-    owner_type: Optional[type], func: object
-) -> WaitEffectSummary:
-    """Wait-effect summary of one function, cached per (code, owner class).
-
-    Never raises: analysis failures return a summary with
-    ``unresolved=True`` and a human-readable reason.
-    """
-    func = getattr(func, "__func__", func)
-    code = getattr(func, "__code__", None)
-    fn_name = getattr(func, "__qualname__", getattr(func, "__name__", repr(func)))
-    if code is None or not isinstance(func, types.FunctionType):
-        return WaitEffectSummary(
-            fn_name, unresolved=True, reason="not a plain function"
-        )
-    key = (code, owner_type)
-    cached = _SUMMARY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    flow = analyze_function(owner_type, func)
-    if flow.unresolved or flow.machine is None:
-        summary = WaitEffectSummary(
-            fn_name, unresolved=True,
-            reason=flow.reason or "no wait-state machine",
-        )
-        _SUMMARY_CACHE[key] = summary
-        return summary
-    kinds: Set[str] = set()
-    waits_on: List[Path] = []
-    composite: List[Path] = []
-    acquires: List[Tuple[Path, str]] = []
-    for state in reachable_wait_states(flow.machine):
-        kinds.add(state.kind)
-        info = state.info
-        if info is None:
-            continue
-        if state.kind == "event" and info.target is not None:
-            waits_on.append(info.target)
-        elif state.kind in ("event", "anyof_timeout") and info.members:
-            composite.extend(info.members)
-        elif state.kind == "external" and info.target is not None:
-            acquires.append((info.target, info.method))
-    notifies: List[Path] = []
-    releases: List[Tuple[Path, str]] = []
-    scanned = _scan_calls(owner_type, func, notifies, releases, (code,))
-    summary = WaitEffectSummary(
-        fn_name,
-        wait_kinds=frozenset(kinds),
-        waits_on=tuple(waits_on),
-        composite_waits=tuple(composite),
-        notifies=tuple(notifies),
-        acquires=tuple(acquires),
-        releases=tuple(releases),
-        unresolved=not scanned,
-        reason="" if scanned else "source unavailable",
-    )
-    _SUMMARY_CACHE[key] = summary
-    return summary
 
 
 # --------------------------------------------------------------------------
@@ -346,14 +199,10 @@ def acquire_sites(process: object) -> Tuple[List[AcquireSite], Optional[str]]:
     pcf = analyze_process(process)
     if pcf.unresolved:
         return [], pcf.reason
-    if pcf.flow.machine is None or pcf.owner is None:
-        return [], "no wait-state machine"
     sites: List[AcquireSite] = []
-    for state in reachable_wait_states(pcf.flow.machine):
-        if state.kind != "external":
-            continue
-        info = state.info
-        if info is None or info.target is None:
+    for node in reachable_waits(pcf.flow):
+        info = node.wait
+        if info.kind != "external":
             continue
         resolved = _resolve_path(pcf.owner, info.target)
         if resolved is None or resolved is _UNRESOLVED:
@@ -362,7 +211,7 @@ def acquire_sites(process: object) -> Tuple[List[AcquireSite], Optional[str]]:
             )
         if (type(resolved).__name__, info.method) in ACQUIRE_COUNTERPARTS:
             sites.append(
-                AcquireSite(pcf.name, resolved, info.target, info.method, state.lineno)
+                AcquireSite(pcf.name, resolved, info.target, info.method, node.lineno)
             )
     return sites, None
 

@@ -73,7 +73,7 @@ SEVERITIES = ("error", "warning", "info")
 #: emitted by the engine itself (elaboration/rule failures), not checked.
 #: The ``dataflow`` layer (REP4xx, process-body analysis), the ``cfg``
 #: layer (REP5xx, control-flow analysis) and the ``interproc`` layer
-#: (REP6xx, interprocedural wait-effect analysis) are opt-in:
+#: (REP6xx, interprocedural blocking-call analysis) are opt-in:
 #: :func:`run_lint` only runs them with ``dataflow=True`` / ``cfg=True`` /
 #: ``interproc=True``.
 LAYERS = (
@@ -400,14 +400,14 @@ def run_lint(
         they parse every process function, so they are opt-in.
     cfg:
         Set True to also run the control-flow rules (REP5xx); they build a
-        CFG and wait-state machine per process body (on top of the
-        dataflow analysis, which is built as needed), so they are opt-in.
+        statement-level CFG per process body (on top of the dataflow
+        analysis, which is built as needed), so they are opt-in.
     interproc:
-        Set True to also run the interprocedural wait-effect rules
-        (REP6xx): the static wait-for/lock-order analysis over callee
-        wait-effect summaries (:mod:`repro.analysis.interproc`).  They
-        walk thread bodies *and* the methods those bodies block on, so
-        they are opt-in.
+        Set True to also run the interprocedural rules (REP6xx): the
+        static wait-for/lock-order analysis over the blocking calls each
+        thread can reach and its source-order lock traces
+        (:mod:`repro.analysis.interproc`).  They walk thread bodies *and*
+        the methods those bodies block on, so they are opt-in.
     select, ignore:
         Code prefixes (comma-separated string or iterable) enabling or
         suppressing rules; ``ignore`` wins over ``select``.
@@ -478,7 +478,7 @@ def run_lint(
                 _run_layer("cfg", ctx, select_list, ignore_list, diagnostics)
         if interproc:
             # Each REP6xx rule builds what it needs lazily (lock traces,
-            # wait-effect summaries) and degrades to silence on unresolved
+            # reachable blocking calls) and degrades to silence on unresolved
             # bodies; a genuinely crashing rule is caught per-rule by
             # _run_layer and reported as REP001.
             _run_layer("interproc", ctx, select_list, ignore_list, diagnostics)
@@ -1519,7 +1519,7 @@ def _check_entry_write_race(ctx: LintContext) -> Iterator[CheckResult]:
 
 
 # --------------------------------------------------------------------------
-# Interproc-layer rules (wait-effect analysis; opt-in via run_lint(interproc=True))
+# Interproc-layer rules (blocking-call analysis; opt-in via run_lint(interproc=True))
 # --------------------------------------------------------------------------
 
 def _wait_for_graph(top: Module):

@@ -175,15 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--cfg",
         action="store_true",
         help=(
-            "also run the control-flow rules (REP5xx): per-process CFGs "
-            "and wait-state machines (implies --dataflow)"
+            "also run the control-flow rules (REP5xx): a statement-level "
+            "CFG per process body (implies --dataflow)"
         ),
     )
     lint.add_argument(
         "--interproc",
         action="store_true",
         help=(
-            "also run the interprocedural wait-effect rules (REP6xx): "
+            "also run the interprocedural rules (REP6xx): "
             "static deadlock, lock-order and release-free-acquire checks "
             "(implies --dataflow and --cfg)"
         ),

@@ -101,11 +101,6 @@ class Event:
         """True if any process is statically or dynamically waiting."""
         return bool(self._static_waiters or self._dynamic_waiters)
 
-    def static_waiters(self) -> "list[Process]":
-        """Statically sensitive processes, in registration order (the order
-        the scheduler notifies them in)."""
-        return list(self._static_waiters)
-
     # -- waiter management (kernel internal) -------------------------------
     def _add_static(self, process: "Process") -> None:
         self._static_waiters.setdefault(process)
@@ -138,11 +133,6 @@ class Event:
             self.notify_delta()
         else:
             self._notify_timed(delay)
-
-    def _notify_immediate(self) -> None:
-        if self._pending is not None:
-            self._cancel_pending()
-        self._trigger()
 
     def notify_delta(self) -> None:
         """Schedule a delta notification (unless an equal/earlier one pends)."""

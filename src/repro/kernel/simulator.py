@@ -217,10 +217,6 @@ class Simulator:
         self._end_of_elaboration_hooks.append(hook)
 
     # -- kernel-internal scheduling hooks -------------------------------------
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _make_runnable(self, process: Process) -> None:
         self._runnable.append(process)
 

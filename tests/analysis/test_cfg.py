@@ -1,4 +1,4 @@
-"""The control-flow layer: CFGs, wait-state machines, REP5xx rules.
+"""The control-flow layer: CFGs, their rule-support queries, REP5xx rules.
 
 Every fixture class lives at module level in this file on purpose: the
 analyzer reads process bodies with :func:`inspect.getsource`, which needs
@@ -131,7 +131,7 @@ def _flow(name):
 
 
 class TestCornerCases:
-    """Each construct must yield a well-formed machine or a conservative
+    """Each construct must yield a well-formed CFG or a conservative
     unresolved flag — never a crash."""
 
     @pytest.mark.parametrize(
@@ -146,34 +146,41 @@ class TestCornerCases:
     def test_resolves_to_machine(self, name):
         flow = _flow(name)
         assert not flow.unresolved, flow.reason
-        assert flow.cfg is not None and flow.machine is not None
-        # Well-formed: every edge endpoint is a known state index.
-        indices = {s.index for s in flow.machine.states}
-        for edge in flow.machine.edges:
-            assert edge.src in indices and edge.dst in indices
+        cfg = flow.cfg
+        assert cfg is not None
+        # Well-formed: every edge lands on a node, the reachable waits are
+        # wait nodes, and the written paths are the nodes' own writes.
+        for node in cfg.nodes:
+            for succ in node.succs + node.exc_succs:
+                assert 0 <= succ < len(cfg.nodes)
+        assert cfg.nodes[cfg.entry].kind == "entry" and cfg.nodes[cfg.exit].kind == "exit"
+        assert all(node.kind == "wait" for node in C.reachable_waits(flow))
+        assert flow.write_paths <= {p for node in cfg.nodes for p in node.writes}
 
     def test_while_else_effects(self):
         flow = _flow("while_else")
-        # The else-arm write is reachable and counted once per instant.
-        assert flow.write_counts.get(("a",)) == 1
+        # The else-arm write is reachable, also before any wait when the
+        # loop body never runs.
+        assert flow.write_paths == {("a",)}
+        assert flow.entry_writes == {("a",)}
 
     def test_nested_break_continue_states(self):
         flow = _flow("nested_break_continue")
-        waits = [s for s in flow.machine.states if s.kind == "timed"]
+        waits = [node for node in C.reachable_waits(flow) if node.wait.kind == "timed"]
         assert len(waits) == 2
         assert not C.waitless_loops(flow)  # break/continue is not a livelock
 
     def test_try_finally_wait(self):
         flow = _flow("try_finally_wait")
-        # finally-body write reaches the machine on the normal path.
-        assert flow.write_counts.get(("b",)) == 1
-        assert flow.write_counts.get(("a",)) == 1
+        # The finally-body write is reachable on the normal path, after
+        # the try body's first statement has waited.
+        assert flow.write_paths == {("a",), ("b",)}
+        assert flow.entry_writes == frozenset()
 
     def test_early_return_reaches_exit(self):
         flow = _flow("early_return")
-        end = [s for s in flow.machine.states if s.kind == "end"]
-        assert len(end) == 1
-        assert flow.write_counts.get(("b",)) == 1
+        assert flow.cfg.exit in flow.cfg.reachable()
+        assert flow.write_paths == {("b",)}
 
     def test_foreign_yield_from_unresolved(self):
         flow = _flow("foreign_splice")
@@ -186,37 +193,6 @@ class TestCornerCases:
     def test_analyze_never_raises_without_source(self):
         flow = C.analyze_function(Synth, len)  # builtin: no source at all
         assert flow.unresolved
-
-
-class TestWriteCounts:
-    def test_single_writer_proved(self):
-        assert _flow("single_writer").write_counts.get(("a",)) == 1
-
-    def test_double_writer_counts_many(self):
-        assert _flow("double_writer").write_counts.get(("a",)) >= 2
-
-    def test_pulse_method_counts_many(self):
-        assert _flow("pulse_method").write_counts.get(("b",)) >= 2
-
-    def test_timeout_branch_advances(self):
-        # The `result is TIMEOUT` branch proves time advanced, so the
-        # write in it starts a fresh instant: count stays 1.
-        assert _flow("timeout_refined").write_counts.get(("a",)) == 1
-
-    def test_helper_inlined(self):
-        assert _flow("calls_helper").write_counts.get(("a",)) == 1
-        assert _flow("double_via_helper").write_counts.get(("a",)) >= 2
-
-    def test_yield_from_splice(self):
-        # The spliced constant timed wait resets the per-instant count.
-        assert _flow("splices").write_counts.get(("a",)) == 1
-
-
-class TestProofs:
-    def test_static_analysis_cannot_prove_clock_toggle(self):
-        flow = C.analyze_function(Clock, Clock._toggle)
-        assert not flow.unresolved
-        assert flow.write_counts.get(("signal",)) >= 2
 
 
 class TestRuleQueries:

@@ -492,7 +492,6 @@ class TestSummaries:
         assert dut.go in kicker.notified_events
         waiter = summarize_process(by_name["net.dut.waiter"])
         assert dut.go in waiter.waited_events
-        assert not waiter.unresolved_wait
 
     def test_method_summary_reads_and_writes(self):
         design = self._elaborate(GoodMethod)

@@ -1,9 +1,9 @@
-"""Interprocedural wait-effect analysis and the REP6xx lint layer.
+"""Interprocedural blocking-call analysis and the REP6xx lint layer.
 
-Covers the per-callee summaries, the lock-order / acquire-release traces, and the four interproc lint rules — including the
-acceptance pair: REP601 statically predicts exactly the Section 5.4
-deadlock ``examples/deadlock_demo.py`` hits dynamically, and the two
-reports cross-reference each other.
+Covers the lock-order / acquire-release traces and the four interproc
+lint rules — including the acceptance pair: REP601 statically predicts
+exactly the Section 5.4 deadlock ``examples/deadlock_demo.py`` hits
+dynamically, and the two reports cross-reference each other.
 
 Classes live at file scope because the analyzers read bodies with
 ``inspect.getsource``.
@@ -16,7 +16,6 @@ from repro.analysis.interproc import (
     acquire_sites,
     lock_order_trace,
     release_closure,
-    summarize_function,
 )
 from repro.analysis.lint import (
     DEADLOCK_RULE_CODE,
@@ -26,7 +25,6 @@ from repro.analysis.lint import (
 )
 from repro.apps import JobRunner, frame_interleaved_jobs, make_reconfigurable_netlist
 from repro.kernel import (
-    Event,
     Fifo,
     Module,
     Mutex,
@@ -47,35 +45,6 @@ def interproc_lint(design):
 # ---------------------------------------------------------------------------
 # Subject classes
 # ---------------------------------------------------------------------------
-
-class HandshakeChannel:
-    """A user-defined rendezvous channel."""
-
-    def __init__(self, sim, name="hs"):
-        self.sim = sim
-        self._full = Event(sim, f"{name}.full")
-        self._empty = Event(sim, f"{name}.empty")
-        self._item = None
-        self._has = False
-
-    def _publish(self):
-        self._has = True
-        self._full.notify_delta()
-
-    def send(self, item):
-        while self._has:
-            yield self._empty
-        self._item = item
-        self._publish()  # notify through a helper: the scan must splice it
-
-    def recv(self):
-        while not self._has:
-            yield self._full
-        item = self._item
-        self._has = False
-        self._empty.notify_delta()
-        return item
-
 
 class InvertedLocksTop(Module):
     def __init__(self, name, sim):
@@ -153,38 +122,6 @@ class UnresolvedLockTop(Module):
 
     def worker(self):
         yield from self.locks.popitem()[1].lock("w")
-
-
-# ---------------------------------------------------------------------------
-# Wait-effect summaries
-# ---------------------------------------------------------------------------
-
-class TestWaitEffectSummaries:
-    def test_channel_send_summary(self):
-        summary = summarize_function(HandshakeChannel, HandshakeChannel.send)
-        assert not summary.unresolved
-        assert summary.wait_kinds == {"event"}
-        assert ("_empty",) in summary.waits_on
-        # The notify happens inside the _publish helper — spliced in.
-        assert ("_full",) in summary.notifies
-
-    def test_summary_memoized_per_code_and_owner(self):
-        first = summarize_function(HandshakeChannel, HandshakeChannel.recv)
-        again = summarize_function(HandshakeChannel, HandshakeChannel.recv)
-        assert first is again
-
-    def test_mutex_unlock_counts_as_release(self):
-        summary = summarize_function(
-            InvertedLocksTop, InvertedLocksTop.worker_a
-        )
-        assert (("m1",), "unlock") in summary.releases
-        assert (("m2",), "unlock") in summary.releases
-        assert (("m1",), "lock") in summary.acquires
-
-    def test_non_function_degrades_unresolved(self):
-        summary = summarize_function(None, object())
-        assert summary.unresolved
-        assert summary.reason
 
 
 # ---------------------------------------------------------------------------

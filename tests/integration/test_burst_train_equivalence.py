@@ -12,7 +12,7 @@ runs must agree on everything a user can see: every bus transaction,
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import repro.kernel
 from repro.apps import (
@@ -232,9 +232,12 @@ background_masters = st.lists(
 def _contended_fetch(protocol, arbitration, masters, victim, hooked):
     """A fetching SoC plus background masters on the bus the fetch uses.
 
-    The victim master is killed right after it queues for the bus; with
+    The victim master is killed right after it asks for the bus; with
     ``late_kill_ns`` set, the first background master is killed that long
-    after, in whatever state it is in by then."""
+    after, in whatever state it is in by then.  Returns the run's
+    fingerprint, its in-place advance count and whether the victim was
+    still queued when it was killed (``[True]``) or had already been
+    granted the bus (``[False]``)."""
     kwargs = {"bus_protocol": protocol, "arbitration": arbitration}
     if protocol == "blocking":
         kwargs["dedicated_config_bus"] = True
@@ -292,11 +295,10 @@ def _contended_fetch(protocol, arbitration, masters, victim, hooked):
 
     sim.spawn("killer", killer)
     sim.run(until=us(100))
-    assert killed_while_queued == [True]
     seen, advances = _fingerprint(sim, runner)
     seen["states"] = [(p.name, p.state, p.wait_description) for p in sim._processes]
     seen["pending"] = sim.pending_timed_count()
-    return seen, advances
+    return seen, advances, killed_while_queued
 
 
 class TestBackgroundMasters:
@@ -308,8 +310,30 @@ class TestBackgroundMasters:
     )
     @settings(max_examples=25, deadline=None)
     def test_contended_fetch_is_identical(self, protocol, arbitration, masters, victim):
-        as_is, advanced = _contended_fetch(protocol, arbitration, masters, victim, False)
-        hooked, hooked_advances = _contended_fetch(protocol, arbitration, masters, victim, True)
+        as_is, advanced, killed = _contended_fetch(protocol, arbitration, masters, victim, False)
+        hooked, hooked_advances, _ = _contended_fetch(
+            protocol, arbitration, masters, victim, True
+        )
         assert as_is == hooked
         assert advanced > 0
         assert hooked_advances == 0
+        # The rest of the strategy is about a victim killed in the queue.
+        assume(killed == [True])
+
+    def test_victim_killed_between_grant_and_resumption(self):
+        """At 20 ns the victim finds the bus busy, wakes the killer and asks
+        for the bus; the CPU releases it in the same evaluation phase and
+        grants it to the victim before the killer runs.  The victim dies
+        owning a grant it never resumed on, and withdrawing it frees the
+        bus: the dead victim does not keep it."""
+        draw = ("split", "fifo", [(21, 0, 1, 0, 1, False)], (20, 0, None))
+        as_is, advanced, killed = _contended_fetch(*draw, False)
+        hooked, hooked_advances, _ = _contended_fetch(*draw, True)
+        assert killed == [False]
+        assert as_is == hooked
+        assert advanced > 0 and hooked_advances == 0
+        *transactions, (owner, waiters) = as_is["top.system_bus"]
+        assert owner != "victim" and "victim" not in waiters
+        assert all(t[1] != "victim" for t in transactions)
+        # The bus stays usable: the background master's later read completes.
+        assert [t[-1] for t in transactions if t[1] == "bg0"] == ["ok"]

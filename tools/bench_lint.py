@@ -3,7 +3,7 @@
 
 The REP4xx dataflow layer parses every registered process body with the
 ``ast`` module and assembles a design-level graph, the REP5xx cfg layer
-builds a CFG and wait-state machine per body on top of it, and the REP6xx
+builds a statement-level CFG per body on top of it, and the REP6xx
 interproc layer adds wait-for/lock-order traces over the elaborated
 design, so their cost grows with the model.  This harness times
 ``run_lint(dataflow=True)``, ``run_lint(dataflow=True, cfg=True)`` and
