@@ -20,7 +20,7 @@ from .interfaces import (
 )
 from .interrupt import REG_ACK, REG_MASK, REG_PENDING, InterruptController
 from .memory import ConfigMemory, Memory, region_checksum
-from .monitor import BusMonitor
+from .monitor import BusMonitor, TrainRecord
 
 __all__ = [
     "Arbiter",
@@ -40,6 +40,7 @@ __all__ = [
     "REG_MASK",
     "REG_PENDING",
     "Transaction",
+    "TrainRecord",
     "check_range",
     "normalize_write_data",
     "region_checksum",

@@ -62,6 +62,11 @@ class Arbiter:
         return self.owner is not None
 
     @property
+    def idle(self) -> bool:
+        """Nobody owns the bus and nobody is queued for it."""
+        return self.owner is None and not self._queue
+
+    @property
     def waiters(self) -> List[str]:
         """Labels currently queued, in request order."""
         return [label for label, _, _, _ in self._queue]
@@ -80,6 +85,16 @@ class Arbiter:
             self._note_requester(label)
             return True
         return False
+
+    def book_grants(self, label: str, n: int) -> None:
+        """Book ``n`` uncontended grants to ``label`` that were never taken.
+
+        What ``n`` :meth:`try_acquire`/:meth:`release` pairs on an idle
+        arbiter leave behind; the bus calls it for the bursts of a
+        closed-form burst train.
+        """
+        self.grant_count += n
+        self._note_requester(label)
 
     def request(self, label: str, priority: int = 0):
         """Blocking request for ownership (generator; use with ``yield from``)."""

@@ -27,11 +27,21 @@ loop's one-iteration case.  Each burst is issued, arbitrated, decoded
 after its grant, timed phase by phase and recorded as its own
 :class:`Transaction`, exactly like a separate read; :class:`Memory` slaves
 are read as "latency, then sample" by the loop itself, so a burst builds
-no slave generator.  Inside a train each phase wait first asks
-:meth:`Simulator.advance_alone <repro.kernel.Simulator.advance_alone>`,
-which advances simulated time in place while no other process could run
-or observe the kernel before the wake (docs/KERNEL.md, "In-place advance
-for burst trains"); single transfers keep their kernel round trip.
+no slave generator.
+
+While the fetching master is alone, a train runs in closed form: at the
+top of a burst, :meth:`Bus._closed_form` books as many whole bursts as
+end within the kernel's :meth:`Simulator.alone_horizon
+<repro.kernel.Simulator.alone_horizon>` in one step (the skipped kernel
+round trips, the arbiter's grants, one memory slice and one monitor
+:class:`~repro.bus.monitor.TrainRecord`), with the same times, counters
+and data as burst by burst.  A burst it declines, counted by reason in
+:attr:`Bus.closed_form_declines`, runs phase by phase, and each of its
+phase waits first asks :meth:`Simulator.advance_alone
+<repro.kernel.Simulator.advance_alone>`, which advances simulated time in
+place while no other process could run or observe the kernel before the
+wake (docs/KERNEL.md, "In-place advance for burst trains"); single
+transfers keep their kernel round trip.
 """
 
 from __future__ import annotations
@@ -49,10 +59,22 @@ from .interfaces import (
     normalize_write_data,
 )
 from .memory import Memory
-from .monitor import BusMonitor
+from .monitor import BusMonitor, TrainRecord
 
 #: Supported bus protocols.
 PROTOCOLS = ("blocking", "split")
+
+#: Why the closed form left a burst of a train to the per-phase loop, in
+#: the order the conditions are checked (see :meth:`Bus._closed_form`).
+CLOSED_FORM_DECLINES = (
+    "contended",
+    "not_memory",
+    "range",
+    "listener",
+    "read_filter",
+    "not_alone",
+    "horizon",
+)
 
 
 class Bus(Module, BusMasterIf):
@@ -111,6 +133,10 @@ class Bus(Module, BusMasterIf):
         # repeat endlessly for the same burst sizes.  Keyed only by count:
         # ``clock_freq_hz`` is fixed at construction.
         self._cycle_cache: Dict[int, SimTime] = {}
+        #: Bursts of trains booked in closed form, and the bursts at which
+        #: the closed form declined, by reason (:data:`CLOSED_FORM_DECLINES`).
+        self.closed_form_bursts = 0
+        self.closed_form_declines: Dict[str, int] = dict.fromkeys(CLOSED_FORM_DECLINES, 0)
 
     # -- construction -----------------------------------------------------------
     @property
@@ -240,7 +266,10 @@ class Bus(Module, BusMasterIf):
         phase by phase and recorded as one :class:`Transaction`; a single
         transfer is the one-iteration case.  :class:`Memory` slaves are
         read as "latency, then sample" in the loop itself.  In a train of
-        several bursts, each phase wait first tries
+        several bursts, each burst first offers itself to
+        :meth:`_closed_form`, which books it and the bursts after it at
+        once while the fetching master is alone; a burst it declines runs
+        phase by phase, and each phase wait first tries
         :meth:`Simulator.advance_alone`, which advances simulated time in
         place while no other process could run or observe the kernel
         before the wake; otherwise the wait goes through the kernel.
@@ -259,9 +288,21 @@ class Bus(Module, BusMasterIf):
         else:
             advance = None
         while True:
+            # Decode errors surface before arbitration.
+            memory = self._route(addr)[1]
+            if train:
+                data = self._closed_form(
+                    addr, count, burst, master, tags, memory, address_phase, request_beat
+                )
+                if data is not None:
+                    words += data
+                    count -= len(data)
+                    if not count:
+                        return words
+                    addr += len(data) * self.word_bytes
+                    continue
             n = burst if count > burst else count
             issued_at = sim.now
-            self._route(addr)  # decode errors surface before arbitration
             if arbiter.try_acquire(master):
                 granted_at = issued_at  # uncontended: granted in the same instant
             else:
@@ -344,6 +385,119 @@ class Bus(Module, BusMasterIf):
             if not count:
                 return words
             addr += stride
+
+    def _closed_form(
+        self,
+        addr: int,
+        count: int,
+        burst: int,
+        master: str,
+        tags: Sequence[str],
+        memory: Optional[Memory],
+        address_phase: SimTime,
+        request_beat: Optional[SimTime],
+    ) -> Optional[List[int]]:
+        """Book whole bursts of a read train at once; their words, or None.
+
+        The ``count`` words left of the train start with a burst at
+        ``addr``, which decodes to ``memory`` (None when its slave is not
+        a :class:`Memory`).  While the fetching master is alone, every one
+        of its phase waits would advance in place, so the bursts' times,
+        counters and data are known in advance: each burst is issued and
+        granted at the previous one's completion and lasts its phases, the
+        very cached durations the per-phase loop waits on.  The largest number
+        of whole bursts that end within the kernel's
+        :meth:`~repro.kernel.Simulator.alone_horizon` (and whose phase
+        waits stay within its ``max_waits``) is booked in one step: the
+        kernel round trips, the arbiter grants, one memory slice and one
+        :class:`~repro.bus.monitor.TrainRecord`.
+
+        Declines, counted by reason in :attr:`closed_form_declines`, leave
+        the burst to the per-phase loop: the arbiter is held or queued
+        (``contended``); the burst's slave is not a :class:`Memory`
+        (``not_memory``); the rest of the train is not one aligned span of
+        that memory's words (``range``); the monitor has a listener
+        (``listener``); the memory's read filter is armed
+        (``read_filter``); the master is not alone (``not_alone``); or not
+        even one burst fits the horizon (``horizon``).
+        """
+        reason = None
+        if not self.arbiter.idle:
+            reason = "contended"
+        elif memory is None:
+            reason = "not_memory"
+        elif (
+            memory.word_bytes != self.word_bytes
+            or addr % self.word_bytes
+            or (addr - memory.base) // self.word_bytes + count > memory.size_words
+        ):
+            reason = "range"
+        elif self.monitor.listeners:
+            reason = "listener"
+        elif not memory._read_filter_idle(addr, count):
+            reason = "read_filter"
+        else:
+            horizon = self.sim.alone_horizon()
+            if horizon is None:
+                reason = "not_alone"
+        if reason is None:
+            last_wake_fs, max_waits = horizon
+            phases = 3 if request_beat is None else 4
+            full, rest = divmod(count, burst)
+            full_fs = self._burst_fs(memory, burst, address_phase, request_beat)
+            last_fs = self._burst_fs(memory, rest, address_phase, request_beat) if rest else full_fs
+            start_fs = self.sim.now.femtoseconds
+            # k: the most bursts whose waits fit max_waits and whose end
+            # fits last_wake_fs (the full ones, then the partial last one).
+            k = full + (rest > 0)
+            if max_waits is not None:
+                k = min(k, max_waits // phases)
+            if last_wake_fs is not None:
+                span = last_wake_fs - start_fs
+                if k > full and full * full_fs + last_fs > span:
+                    k = full  # the partial last burst does not fit
+                if k <= full and k * full_fs > span:
+                    k = span // full_fs if span >= 0 else 0
+            if k <= 0:
+                reason = "horizon"
+        if reason is not None:
+            self.closed_form_declines[reason] += 1
+            return None
+        if k > full:
+            taken, end_fs = count, start_fs + full * full_fs + last_fs
+        else:
+            taken, end_fs, last_fs = k * burst, start_fs + k * full_fs, full_fs
+        self.sim.book_alone(k * phases, end_fs)
+        self.arbiter.book_grants(master, k if request_beat is None else 2 * k)
+        self.monitor.record_train(
+            TrainRecord(
+                kind="read",
+                master=master,
+                slave=self._slave_name(memory),
+                addr=addr,
+                stride=burst * self.word_bytes,
+                burst_words=burst,
+                words=taken,
+                start_fs=start_fs,
+                burst_fs=full_fs,
+                last_fs=last_fs,
+                tags=tuple(tags),
+            )
+        )
+        self.closed_form_bursts += k
+        return memory._read_slice(addr, taken)
+
+    def _burst_fs(
+        self, memory: Memory, n: int, address_phase: SimTime, request_beat: Optional[SimTime]
+    ) -> int:
+        """Femtoseconds of an ``n``-word burst from ``memory``: the sum of
+        the phases the per-phase loop waits on."""
+        fs = (
+            address_phase.femtoseconds
+            + memory._burst_time(n).femtoseconds
+            + self.cycles(n * self.cycles_per_word).femtoseconds
+        )
+        return fs if request_beat is None else fs + request_beat.femtoseconds
 
     @staticmethod
     def _slave_name(slave: BusSlaveIf) -> str:

@@ -20,13 +20,20 @@ has passed.  :meth:`Memory.read` is those two steps around one wait, and
 the bus's transfer loop (:mod:`repro.bus.bus`) drives the same two steps
 itself, so a read over the bus builds no memory generator.  A subclass
 changes what a read returns by overriding ``_read_sample``, as
-:class:`ConfigMemory` does, not ``read``.
+:class:`ConfigMemory` does, not ``read``.  A closed-form burst train
+samples all its bursts as one slice (``_read_slice``) instead, but only
+while ``_read_filter_idle`` says the sampling step would return them as
+stored: no fault hook, or one whose predicate promises to pass them
+unchanged, and (for :class:`ConfigMemory`) no pending transient error.
 
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
 region can be asserted against in tests.  Its integrity verdict
 (:meth:`ConfigMemory.region_is_clean`) is memoized per region against the
-write generation, so a region is re-hashed only after the store changed.
+write generation, so a region is re-hashed only after the store changed,
+and a region no write ever touched hashes in closed form.  Transient
+errors hit every burst that overlaps a region
+(:meth:`ConfigMemory.context_for_burst`).
 """
 
 from __future__ import annotations
@@ -181,6 +188,29 @@ class Memory(Module, BusSlaveIf):
             data = hook.on_memory_read(self, addr, count, data)
         return data
 
+    def _read_filter_idle(self, addr: int, count: int) -> bool:
+        """Would ``_read_sample`` return every burst of the ``count`` words
+        from ``addr`` as stored, with no effect but the read count?
+
+        True with no fault hook, or when the hook's
+        ``passes_reads_unchanged(memory, addr, count)`` promises that
+        ``on_memory_read`` returns each such burst unchanged, with no
+        random draw and no log entry; a hook without that predicate keeps
+        every burst on the sampling path.  A subclass that overrides
+        ``_read_sample`` narrows this too.
+        """
+        hook = self.fault_hook
+        if hook is None:
+            return True
+        passes = getattr(hook, "passes_reads_unchanged", None)
+        return passes is not None and passes(self, addr, count)
+
+    def _read_slice(self, addr: int, count: int) -> List[int]:
+        """The ``count`` words from ``addr`` as one slice: what sampling
+        them burst by burst returns while :meth:`_read_filter_idle` holds."""
+        self.read_word_count += count
+        return self._load((addr - self.base) // self.word_bytes, count)
+
     def write(self, addr: int, data: Union[int, Sequence[int]]):
         """Burst write (generator); returns True."""
         if type(data) is int:  # scalar single-word write: skip normalization
@@ -303,7 +333,12 @@ class ConfigMemory(Memory):
 
     def _compute_checksum(self, addr: int, size_bytes: int) -> int:
         words = max(1, -(-size_bytes // self.word_bytes))
-        return region_checksum(self.peek(addr, words))
+        index = self._index(addr, words)
+        first, last = index >> _PAGE_BITS, (index + words - 1) >> _PAGE_BITS
+        if self.fill == 0 and not any(first <= page_no <= last for page_no in self._pages):
+            # Never written: FNV-1a over zero words is one multiply each.
+            return (_FNV_OFFSET * pow(_FNV_PRIME, words, 1 << 32)) & 0xFFFFFFFF
+        return region_checksum(self._load(index, words))
 
     def region_of(self, context_name: str) -> Tuple[int, int]:
         """The (address, size) registered for ``context_name``."""
@@ -317,8 +352,9 @@ class ConfigMemory(Memory):
         """Corrupt the next ``n_bursts`` burst reads touching the region.
 
         Models a transient configuration-memory/bus error: each affected
-        burst returns one flipped bit; later bursts are clean again, so a
-        whole-bitstream fetch containing a corrupted burst fails its
+        burst (see :meth:`context_for_burst`) returns one flipped bit, in
+        its first word inside the region; later bursts are clean again, so
+        a whole-bitstream fetch containing a corrupted burst fails its
         checksum once and succeeds on refetch.
         """
         self._known_region(context_name)
@@ -394,17 +430,34 @@ class ConfigMemory(Memory):
         data = super()._read_sample(addr, index, count)
         if not self._transient_errors:
             return data
-        region = self.context_for_address(addr)
+        region = self.context_for_burst(addr, count)
         if region is not None and self._transient_errors.get(region, 0) > 0:
             self._transient_errors[region] -= 1
             self.injected_errors += 1
             data = list(data)
-            data[0] ^= 0x1  # single flipped bit in the first word
+            # A single flipped bit in the burst's first word in the region.
+            data[max(0, (self._regions[region][0] - addr) // self.word_bytes)] ^= 0x1
         return data
+
+    def _read_filter_idle(self, addr: int, count: int) -> bool:
+        return not any(self._transient_errors.values()) and super()._read_filter_idle(addr, count)
 
     def context_for_address(self, addr: int) -> Optional[str]:
         """Which registered region (if any) contains ``addr``."""
         for name, (base, size) in self._regions.items():
             if base <= addr < base + size:
+                return name
+        return None
+
+    def context_for_burst(self, addr: int, count: int) -> Optional[str]:
+        """The region a ``count``-word burst from ``addr`` touches: the one
+        holding its first word, else the first registered region it
+        overlaps, else None."""
+        region = self.context_for_address(addr)
+        if region is not None:
+            return region
+        end = addr + count * self.word_bytes
+        for name, (base, size) in self._regions.items():
+            if addr < base + size and base < end:
                 return name
         return None

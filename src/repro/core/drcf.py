@@ -336,8 +336,8 @@ class Drcf(Module, BusSlaveIf):
         Each attempt is one bus request: a burst train of
         ``config_burst_words``-word bursts that the bus re-arbitrates and
         records burst by burst, exactly like separate burst reads, and
-        advances through in place while nothing else can run (see
-        :meth:`repro.bus.Bus.read`).
+        books in closed form or advances through in place while nothing
+        else can run (see :meth:`repro.bus.Bus.read`).
 
         Returns the number of words actually fetched over the bus (0 when
         the on-chip bitstream cache hit; the configuration-port programming

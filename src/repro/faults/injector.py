@@ -8,7 +8,9 @@ design by setting three hook attributes —
   and :meth:`FaultInjector.filter_bitstream` (truncated transfers) act on
   configuration fetches;
 * ``Memory.fault_hook`` → :meth:`FaultInjector.on_memory_read` corrupts
-  burst reads in flight (transient bus errors);
+  burst reads in flight (transient bus errors), and
+  :meth:`FaultInjector.passes_reads_unchanged` tells the memory when it
+  has nothing left to corrupt;
 * ``ContextScheduler.fault_hook`` → :meth:`FaultInjector.on_switch_begin`
   observes the context schedule (event log / time-window triggers);
 
@@ -171,13 +173,14 @@ class FaultInjector:
     def on_memory_read(self, memory, addr: int, count: int, data: List[int]) -> List[int]:
         """Transient bus-error model: flip one bit in a burst in flight.
 
-        Only bursts overlapping the target context's registered region are
-        touched; everything else passes through untouched.
+        Only bursts overlapping the target context's registered region
+        (``ConfigMemory.context_for_burst``) are touched; everything else
+        passes through untouched.
         """
-        region_of = getattr(memory, "context_for_address", None)
+        region_of = getattr(memory, "context_for_burst", None)
         if region_of is None:
             return data
-        touched = region_of(addr)
+        touched = region_of(addr, count)
         if touched is None:
             return data
         now_ns = self._sim.now.to_ns()
@@ -198,6 +201,19 @@ class FaultInjector:
                     f"burst word {word} at {addr:#x}"
                 )
         return data
+
+    def passes_reads_unchanged(self, memory, addr: int, count: int) -> bool:
+        """Would :meth:`on_memory_read` return the bursts of this range
+        unchanged, with no random draw and no log entry?
+
+        Conservatively, True only when no ``bus_transient`` spec has
+        applications left.  The memory then samples the range as one
+        slice instead of filtering it burst by burst.
+        """
+        return not any(
+            spec.kind == "bus_transient" and self._remaining.get(index, 0) > 0
+            for index, spec in enumerate(self.specs)
+        )
 
     # -- ContextScheduler.fault_hook ------------------------------------------------
     def on_switch_begin(self, scheduler_name: str, context_name: str, now) -> None:

@@ -31,9 +31,11 @@ hooks: "once per finished instant" is a hard guarantee, and the injected
 effects are visible when the hooks fire at the next instant.
 
 A thread that is alone on the timeline may also wait without leaving
-its generator: :meth:`Simulator.advance_alone` advances time in place
-and books the round trip it skipped, so nothing observable changes.  The
-bus uses it inside burst trains (see docs/KERNEL.md).
+its generator: :meth:`Simulator.alone_horizon` says how far it may go,
+and :meth:`Simulator.book_alone` advances time in place and books the
+round trips it skipped, so nothing observable changes.  The bus uses them
+inside burst trains, one phase at a time (:meth:`Simulator.advance_alone`)
+or for whole bursts at once (see docs/KERNEL.md).
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from __future__ import annotations
 import heapq
 import time
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import DeadlockError, ElaborationError, SchedulingError
 from .event import Event
@@ -456,19 +458,21 @@ class Simulator:
         return self.now
 
     # -- in-place advance (burst trains) ------------------------------------------
-    def alone_until(self, wake_fs: int) -> bool:
-        """Is the running process alone on the timeline up to ``wake_fs``?
+    def alone_horizon(self) -> Optional[Tuple[Optional[int], Optional[int]]]:
+        """How far the running process may wait in place: ``None`` or
+        ``(last_wake_fs, max_waits)``.
 
-        True when a timed wait of the running thread until ``wake_fs``
-        would be the next and only thing the kernel does: nothing is
-        runnable; no update or delta notification is
-        pending; no trace hook is attached; no live timed action is queued
-        at or before ``wake_fs``; the wake is within the run's ``until``;
-        no stop is requested; and the watchdog is not due for a check.
-        Always False outside a process execution.
-
-        Cancelled timed actions at the front of the queue are discarded on
-        the way, as the timed phase would discard them.
+        ``None`` unless the running process is a thread and nothing else
+        could run or observe the kernel before its next wake: nothing is
+        runnable, no update or delta notification is pending, no trace hook
+        is attached and no stop is requested.  Otherwise
+        ``last_wake_fs`` is the latest wake of an in-place wait, strictly
+        before the next live timed action and no later than the run's
+        ``until``, and ``max_waits`` is how many waits in a row may advance
+        in place before the watchdog (``run(max_wall_s=...)``) is due for a
+        check (0 when a check is due now).  Either is ``None`` when it is
+        unbounded.  Cancelled timed actions at the front of the queue are
+        discarded on the way, as the timed phase would discard them.
         """
         process = self.current_process
         if (
@@ -481,48 +485,72 @@ class Simulator:
             or self.trace_hooks
             or self._stop_requested
         ):
-            return False
-        if wake_fs < self._now_fs:
-            return False  # the round trip raises the scheduling error
+            return None
         heap = self._timed_heap
         while heap and heap[0].cancelled:
             heapq.heappop(heap)
-        if heap and heap[0].time_fs <= wake_fs:
-            return False
         run_state = self._run_state
-        if run_state.until_fs is not None and wake_fs > run_state.until_fs:
-            return False
+        last_wake_fs = run_state.until_fs
+        if heap and (last_wake_fs is None or heap[0].time_fs <= last_wake_fs):
+            last_wake_fs = heap[0].time_fs - 1
+        max_waits = None
         if run_state.wall_deadline is not None:
-            # The round trip would check the watchdog after this execution
-            # and before the timed pop; let it, whenever a check is due.
-            stats = self.stats
-            if not (stats.process_executions & 0xFF and stats.timed_activations & 0xFF):
-                return False
-        return True
+            # Each wait adds one to both counters, and the round trip checks
+            # the wall clock whenever either is a multiple of 256 (after the
+            # execution, before the timed pop): such a wait is the kernel's.
+            executions = self.stats.process_executions & 0xFF
+            activations = self.stats.timed_activations & 0xFF
+            max_waits = 0
+            if executions and activations:
+                max_waits = min(256 - executions, 256 - activations)
+        return last_wake_fs, max_waits
+
+    def alone_until(self, wake_fs: int) -> bool:
+        """Is the running process alone on the timeline up to ``wake_fs``?
+
+        True when a timed wait of the running thread until ``wake_fs``
+        would be the next and only thing the kernel does: the wake lies
+        within :meth:`alone_horizon` and the watchdog is not due for a
+        check.  Always False outside a process execution.
+        """
+        horizon = self.alone_horizon()
+        if horizon is None or wake_fs < self._now_fs:
+            return False  # a negative wait: the round trip raises the error
+        last_wake_fs, max_waits = horizon
+        return (last_wake_fs is None or wake_fs <= last_wake_fs) and max_waits != 0
+
+    def book_alone(self, n: int, wake_fs: int) -> None:
+        """Book ``n`` timed waits of the running thread done in place, the
+        last one waking at ``wake_fs``, and move time there.
+
+        The books record what ``n`` kernel round trips would have: ``n``
+        sequence numbers, ``n`` timed activations (each also opens a new
+        instant for the trace hooks), ``n`` process executions, and a
+        restart of the per-instant delta guard.  The caller has checked
+        that every wake lies within :meth:`alone_horizon` and that ``n``
+        is within its ``max_waits``.
+        """
+        stats = self.stats
+        self._seq += n
+        stats.timed_activations += n
+        stats.process_executions += n
+        stats.in_place_advances += n
+        self._now_fs = wake_fs
+        self._run_state.advanced_at_delta = stats.delta_cycles
 
     def advance_alone(self, delay: SimTime) -> bool:
         """Wait ``delay`` in place if the running process is alone until then.
 
         When :meth:`alone_until` holds for the wake time, time advances
-        there without leaving the process, and the books record what the
-        kernel round trip would have: the timeout's sequence number, one
-        timed activation (which also opens a new instant for the trace
-        hooks), one process execution, and a restart of the per-instant
-        delta guard.
-        Returns False, with no observable effect, when the wait must be
-        yielded to the kernel instead.  See docs/KERNEL.md, "In-place
-        advance for burst trains".
+        there without leaving the process and the round trip is booked
+        (:meth:`book_alone` with ``n = 1``).  Returns False, with no
+        observable effect, when the wait must be yielded to the kernel
+        instead.  See docs/KERNEL.md, "In-place advance for burst trains".
         """
         wake_fs = self._now_fs + delay._fs
         if not self.alone_until(wake_fs):
             return False
-        stats = self.stats
-        self._seq += 1
-        stats.timed_activations += 1
-        stats.process_executions += 1
-        stats.in_place_advances += 1
-        self._now_fs = wake_fs
-        self._run_state.advanced_at_delta = stats.delta_cycles
+        self.book_alone(1, wake_fs)
         return True
 
     def _trip_watchdog(self, max_wall_s: float) -> None:

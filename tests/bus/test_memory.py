@@ -1,8 +1,11 @@
 """Memory models: latency, bounds, sparse backing, config regions."""
 
+from unittest import mock
+
 import pytest
 
-from repro.bus import ConfigMemory, Memory
+import repro.bus.memory as memory_mod
+from repro.bus import ConfigMemory, Memory, region_checksum
 from repro.kernel import SimulationError, ns
 from tests.conftest import drive
 
@@ -129,3 +132,72 @@ class TestConfigMemory:
         assert mem.region_is_clean("a")
         assert mem.peek(0x0E00) == [5]
         assert mem.scrub_region("a") is False
+
+    def test_a_region_is_touched_by_every_burst_overlapping_it(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
+        mem.register_context_region("a", 0x100, 0x100)
+        mem.register_context_region("b", 0x208, 0x10)
+        assert mem.context_for_burst(0xF0, 4) is None  # ends at 0xFF
+        assert mem.context_for_burst(0xF0, 8) == "a"  # straddles a's start
+        assert mem.context_for_burst(0x1FC, 8) == "a"  # its first word is in a
+        assert mem.context_for_burst(0x200, 8) == "b"
+
+    def test_transient_error_hits_a_burst_straddling_the_region(self, sim):
+        """An 8-word read at 0xF0 covers 0x100..0x10C of region [0x100,
+        0x200): it takes the armed error, flipped in its first word inside
+        the region, and the next read is clean."""
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
+        mem.register_context_region("a", 0x100, 0x100)
+        mem.inject_transient_error("a")
+        assert not mem._read_filter_idle(0xF0, 8)
+        assert drain(mem.read(0xF0, 8)) == [0] * 4 + [1] + [0] * 3
+        assert mem.injected_errors == 1
+        assert mem._read_filter_idle(0xF0, 8)
+        assert drain(mem.read(0x100, 8)) == [0] * 8
+
+    def test_transient_error_on_a_burst_starting_in_the_region(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
+        mem.register_context_region("a", 0x100, 0x100)
+        mem.inject_transient_error("a")
+        assert drain(mem.read(0x1F8, 4)) == [1, 0, 0, 0]
+
+
+class TestRegionChecksumInClosedForm:
+    """An unwritten region with a zero fill hashes without reading a word."""
+
+    def test_unwritten_region(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=4096)
+        with mock.patch.object(memory_mod, "region_checksum", wraps=region_checksum) as spy:
+            mem.register_context_region("a", 0x400, 4 * 1500 - 2)  # a partial last word
+        assert spy.call_count == 0
+        assert mem.checksum_of("a") == region_checksum([0] * 1500)
+
+    @pytest.mark.parametrize(
+        "fill, poke, hashed",
+        [(0, 0x1800, 1), (0, 0x1FFC, 1), (7, None, 1), (0, 0x3000, 0)],
+        ids=["written", "last-word", "fill", "written-elsewhere"],
+    )
+    def test_regions_with_data_hash_their_words(self, sim, fill, poke, hashed):
+        """Region [0x1000, 0x2000) is word page 1; a write anywhere in its
+        page, or a nonzero fill, takes the word-by-word hash."""
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=4096, fill=fill)
+        if poke is not None:
+            mem.poke(poke, [5])
+        with mock.patch.object(memory_mod, "region_checksum", wraps=region_checksum) as spy:
+            mem.register_context_region("a", 0x1000, 0x1000)
+        assert spy.call_count == hashed
+        assert mem.checksum_of("a") == region_checksum(mem.peek(0x1000, 0x400))
+
+    def test_registration_still_validates_the_region(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=16)
+        with pytest.raises(SimulationError, match="unaligned"):
+            mem.register_context_region("a", 0x2, 8)
+
+
+def drain(gen):
+    """Run a memory access generator to completion outside a simulation."""
+    try:
+        while True:
+            next(gen)
+    except StopIteration as stop:
+        return stop.value

@@ -1,7 +1,9 @@
-"""Bus monitor aggregation."""
+"""Bus monitor aggregation, train records included."""
 
-from repro.bus import BusMonitor, Transaction
-from repro.kernel import ZERO_TIME, ns, us
+from hypothesis import given, settings, strategies as st
+
+from repro.bus import Bus, BusMonitor, Memory, Transaction, TrainRecord
+from repro.kernel import ZERO_TIME, Simulator, fs, ns, us
 
 
 def txn(kind="read", master="cpu", slave="mem", words=4, issued=0, granted=0, done=40, tags=()):
@@ -78,3 +80,141 @@ class TestAggregation:
         summary = monitor.summary()
         for key in ("transactions", "total_words", "config_words", "data_words", "busy_time_ns"):
             assert key in summary
+
+
+MASTERS = ("cpu", "dma", "drcf")
+SLAVES = ("mem", "cfg")
+TAGS = ("config", "fir", "data")
+
+single_transactions = st.builds(
+    lambda kind, master, slave, addr, words, issued, wait, busy, tags, status: Transaction(
+        kind=kind,
+        master=master,
+        slave=slave,
+        addr=addr,
+        words=words,
+        issued_at=fs(issued),
+        granted_at=fs(issued + wait),
+        completed_at=fs(issued + wait + busy),
+        tags=list(tags),
+        status=status,
+    ),
+    st.sampled_from(["read", "write"]),
+    st.sampled_from(MASTERS),
+    st.sampled_from(SLAVES),
+    st.integers(0, 2**16),
+    st.integers(1, 16),
+    st.integers(0, 10**9),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(TAGS), max_size=2, unique=True),
+    st.sampled_from(["ok", "ok", "error"]),
+)
+train_records = st.builds(
+    TrainRecord,
+    st.just("read"),
+    st.sampled_from(MASTERS),
+    st.sampled_from(SLAVES),
+    st.integers(0, 2**16),
+    st.integers(4, 256),
+    st.integers(1, 16),
+    st.integers(1, 100),
+    st.integers(0, 10**9),
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(TAGS), max_size=2, unique=True).map(tuple),
+)
+traffic = st.lists(st.one_of(single_transactions, train_records), max_size=12)
+
+
+def _feed(records):
+    """One monitor fed ``records`` as given, and one fed the same traffic
+    as single transactions, each train expanded burst by burst."""
+    with_records, expanded = BusMonitor(), BusMonitor()
+    seen = {id(with_records): [], id(expanded): []}
+    for monitor in (with_records, expanded):
+        monitor.listeners.append(seen[id(monitor)].append)
+    for entry in records:
+        if isinstance(entry, TrainRecord):
+            with_records.record_train(entry)
+            for txn in entry.expand():
+                expanded.record(txn)
+        else:
+            with_records.record(entry)
+            expanded.record(entry)
+    assert seen[id(with_records)] == seen[id(expanded)]
+    return with_records, expanded
+
+
+def _queries(monitor):
+    """Every aggregate query, then the transactions."""
+    return (
+        monitor.transaction_count,
+        monitor.error_count,
+        monitor.total_words,
+        [(monitor.words_by_tag(tag), monitor.words_without_tag(tag)) for tag in TAGS],
+        list(monitor.words_by_master().items()),
+        list(monitor.words_by_slave().items()),
+        monitor.busy_time(),
+        monitor.utilization(ns(5)),
+        monitor.utilization(us(2000)),
+        [monitor.mean_arbitration_wait(master) for master in (None, *MASTERS)],
+        monitor.max_arbitration_wait(),
+        monitor.summary(),
+        monitor.transactions,
+    )
+
+
+class TestTrainRecords:
+    """A train record answers every query as its expanded bursts do."""
+
+    @given(traffic, traffic)
+    @settings(deadline=None)
+    def test_records_match_their_expansion(self, before, after):
+        with_records, expanded = _feed(before)
+        assert _queries(with_records) == _queries(expanded)
+        for monitor in (with_records, expanded):
+            monitor.reset()
+        assert _queries(with_records) == _queries(expanded) == _queries(BusMonitor())
+        more_records, more_expanded = _feed(after)
+        assert _queries(more_records) == _queries(more_expanded)
+
+    def test_expansion(self):
+        train = TrainRecord("read", "dma", "cfg", 0x100, 16, 4, 10, 1000, 70, 50, ("config",))
+        assert train.bursts == 3
+        assert train.busy_fs == 190
+        assert list(train.expand()) == [
+            Transaction("read", "dma", "cfg", 0x100, 4, fs(1000), fs(1000), fs(1070), ["config"]),
+            Transaction("read", "dma", "cfg", 0x110, 4, fs(1070), fs(1070), fs(1140), ["config"]),
+            Transaction("read", "dma", "cfg", 0x120, 2, fs(1140), fs(1140), fs(1190), ["config"]),
+        ]
+
+    def test_transactions_are_a_fresh_list_with_fresh_tags(self):
+        monitor = BusMonitor()
+        monitor.record_train(TrainRecord("read", "dma", "cfg", 0, 4, 1, 2, 0, 10, 10, ("config",)))
+        first, second = monitor.transactions
+        assert first.tags == second.tags == ["config"] and first.tags is not second.tags
+        monitor.transactions.clear()
+        assert monitor.transaction_count == len(monitor.transactions) == 2
+
+
+class TestListenerOnABus:
+    def test_a_listener_declines_the_closed_form(self):
+        """With a listener attached, every burst of a train runs phase by
+        phase, and the listener sees each at its completion time."""
+        sim = Simulator()
+        bus = Bus("bus", sim=sim)
+        bus.register_slave(Memory("mem", sim=sim, size_words=64))
+        heard = []
+        bus.monitor.listeners.append(lambda txn: heard.append((sim.now, txn)))
+
+        def fetch():
+            yield from bus.read(0, 20, master="dma", burst=8)
+
+        sim.spawn("dma", fetch)
+        sim.run()
+        assert bus.closed_form_bursts == 0
+        assert bus.closed_form_declines["listener"] == 3
+        assert [txn.words for _, txn in heard] == [8, 8, 4]
+        assert all(now == txn.completed_at for now, txn in heard)
+        assert [txn for _, txn in heard] == bus.monitor.transactions

@@ -101,6 +101,23 @@ class TestBusTransient:
         assert len(injector.events) == 1
         assert injector.pending == 0
 
+    def test_a_burst_straddling_the_region_is_touched(self):
+        """Region s1 starts at 0x100400, after a gap behind s0: an 8-word
+        burst from 0x1003F0 starts in the gap and runs into s1."""
+        rig = make_rig()
+        assert rig.cfgmem.region_of("s1")[0] == 0x100400
+        injector = attach(rig, FaultSpec("bus_transient", "s1", at_ns=0.0))
+        assert not injector.passes_reads_unchanged(rig.cfgmem, 0x1003F0, 8)
+        data = injector.on_memory_read(rig.cfgmem, 0x1003F0, 8, [0] * 8)
+        (word,) = [i for i, value in enumerate(data) if value]
+        bit = data[word].bit_length() - 1
+        assert data[word] == 1 << bit
+        assert [message for _, message in injector.events] == [
+            f"bus_transient s1: flipped bit {bit} of burst word {word} at 0x1003f0"
+        ]
+        assert injector.pending == 0
+        assert injector.passes_reads_unchanged(rig.cfgmem, 0x1003F0, 8)
+
     def test_memory_without_regions_passes_through(self):
         injector = FaultInjector(seed=7)
         injector.arm(FaultSpec("bus_transient", "s0", at_ns=0.0))

@@ -1,15 +1,28 @@
-"""Burst trains advance time in place with no observable difference.
+"""Burst trains run three ways with no observable difference.
 
-A configuration fetch is one burst train (``Bus.read(..., burst=n)``),
-and inside a train every phase wait first asks the kernel whether the
-fetching process is alone on the timeline up to its wake; if so, time
-advances in place (``Simulator.advance_alone``).  Any trace hook turns
-that off, so each design here runs twice: as is, and with a no-op hook in
-``sim.trace_hooks``, which sends every phase through the kernel.  Both
-runs must agree on everything a user can see: every bus transaction,
-``DrcfStats``, memory counters, job outputs, the end time and every
-``SimulatorStats`` counter except ``in_place_advances`` itself.
+A configuration fetch is one burst train (``Bus.read(..., burst=n)``).
+While the fetching process is alone on the timeline, the bus books whole
+bursts of it in closed form (``Bus._closed_form``): one horizon check,
+one booking of the skipped kernel round trips, one memory slice and one
+monitor record.  A burst the closed form declines runs phase by phase,
+and each phase wait first asks the kernel whether it may advance in
+place (``Simulator.advance_alone``).  Each design here runs three ways:
+
+* ``closed``: as is;
+* ``per_phase``: the closed form declines every burst (a test-only patch),
+  which leaves the per-phase in-place path;
+* ``round_trip``: a no-op hook in ``sim.trace_hooks``, which turns both
+  fast paths off and sends every phase through the kernel.
+
+All three must agree on everything a user can see: every bus transaction
+and monitor aggregate, the arbiter's counts, ``DrcfStats``, memory
+counters, job outputs, the end time, the kernel's sequence counter and
+every ``SimulatorStats`` counter except ``in_place_advances``, on which
+the first two must agree as well.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,18 +37,39 @@ from repro.apps import (
 )
 from repro.bus import Bus, Memory
 from repro.core import Drcf
-from repro.faults import FAULT_KINDS, CampaignScenario
+from repro.faults import FAULT_KINDS, CampaignScenario, FaultInjector, FaultSpec
 from repro.faults.campaign import _run_trial, build_fault_grid
-from repro.kernel import Event, Simulator, ns, us
+from repro.kernel import Event, SimulationError, Simulator, ns, us
 from repro.tech import MORPHOSYS, VIRTEX2PRO
+from tests.faults.helpers import RIG_INFO, access, make_rig, rig_design
 
+MODES = ("closed", "per_phase", "round_trip")
 ACCELS = ("fir", "xtea")
 #: Scratch window of the configuration memory, clear of every bitstream.
 CFG_SCRATCH = 0x0080_0000
 
 
 def _noop_hook(now):
-    """A trace hook that observes nothing; its presence disables the advance."""
+    """A trace hook that observes nothing; its presence disables both fast paths."""
+
+
+def _decline(self, *args):
+    """``Bus._closed_form`` that declines every burst."""
+    return None
+
+
+def _closed_form_off(mode):
+    """The test-only patch behind the ``per_phase`` mode."""
+    if mode == "per_phase":
+        return mock.patch.object(Bus, "_closed_form", _decline)
+    return contextlib.nullcontext()
+
+
+def _simulator(mode):
+    sim = Simulator()
+    if mode == "round_trip":
+        sim.trace_hooks.append(_noop_hook)
+    return sim
 
 
 def _modules(sim):
@@ -45,19 +79,39 @@ def _modules(sim):
 
 
 def _fingerprint(sim, runner=None):
-    """Everything observable about a run, plus its in-place advance count."""
-    seen = {"end_fs": sim.now.femtoseconds}
+    """Everything observable about a run, its in-place advance count and
+    the number of bursts the buses booked in closed form."""
+    seen = {"end_fs": sim.now.femtoseconds, "seq": sim._seq}
+    closed = 0
     for module in _modules(sim):
         name = module.full_name
         if isinstance(module, Bus):
-            seen[name] = [
+            monitor = module.monitor
+            # The aggregates first: they must come from the train records,
+            # not from an expansion.
+            aggregates = (
+                monitor.summary(),
+                monitor.busy_time(),
+                monitor.mean_arbitration_wait(),
+                monitor.max_arbitration_wait(),
+                monitor.error_count,
+                monitor.words_by_slave(),
+            )
+            transactions = [
                 (
                     t.kind, t.master, t.slave, t.addr, t.words,
                     t.issued_at.femtoseconds, t.granted_at.femtoseconds,
                     t.completed_at.femtoseconds, tuple(t.tags), t.status,
                 )
-                for t in module.monitor.transactions
-            ] + [(module.arbiter.owner, module.arbiter.waiters)]
+                for t in monitor.transactions
+            ]
+            arbiter = module.arbiter
+            seen[name] = (
+                aggregates,
+                transactions,
+                (arbiter.owner, arbiter.waiters, arbiter.grant_count, arbiter.contention_count),
+            )
+            closed += module.closed_form_bursts
         elif isinstance(module, Memory):
             seen[name] = (module.read_word_count, module.write_word_count, module.generation)
         elif isinstance(module, Drcf):
@@ -72,14 +126,26 @@ def _fingerprint(sim, runner=None):
     stats = sim.stats.as_dict()
     advances = stats.pop("in_place_advances")
     seen["stats"] = stats
-    return seen, advances
+    return seen, advances, closed
 
 
-def _build_soc(make, hooked):
+def _assert_equivalent(runs, engaged=True):
+    """``runs`` maps each mode to ``_fingerprint``'s triple."""
+    closed, closed_advances, bursts = runs["closed"]
+    per_phase, per_phase_advances, per_phase_bursts = runs["per_phase"]
+    round_trip, round_trip_advances, round_trip_bursts = runs["round_trip"]
+    assert closed == per_phase
+    assert closed == round_trip
+    assert closed_advances == per_phase_advances
+    assert per_phase_bursts == round_trip_bursts == round_trip_advances == 0
+    if engaged:
+        assert bursts > 0  # the trains really took the closed form
+        assert per_phase_advances > 0  # and the per-phase path advanced in place
+
+
+def _build_soc(make, mode):
     netlist, info = make()
-    sim = Simulator()
-    if hooked:
-        sim.trace_hooks.append(_noop_hook)
+    sim = _simulator(mode)
     design = netlist.elaborate(sim)
     runner = JobRunner(info.accel_bases, info.buffer_words)
     jobs = frame_interleaved_jobs(tuple(info.accel_bases), n_frames=1, seed=7)
@@ -102,17 +168,15 @@ class TestReconfigurableNetlists:
     @pytest.mark.parametrize("name", sorted(NETLISTS))
     def test_hooked_run_is_identical(self, name):
         runs = {}
-        for hooked in (False, True):
-            sim, _, runner, jobs = _build_soc(NETLISTS[name], hooked)
-            sim.run()
+        for mode in MODES:
+            sim, _, runner, jobs = _build_soc(NETLISTS[name], mode)
+            with _closed_form_off(mode):
+                sim.run()
             assert len(runner.results) == len(jobs)
             for job in runner.results:
                 assert job.outputs == golden_outputs(job.spec)
-            runs[hooked] = _fingerprint(sim, runner)
-        (as_is, advanced), (hooked, hooked_advances) = runs[False], runs[True]
-        assert as_is == hooked
-        assert advanced > 0  # the trains really took the fast path
-        assert hooked_advances == 0
+            runs[mode] = _fingerprint(sim, runner)
+        _assert_equivalent(runs)
 
 
 class TestCampaignTrials:
@@ -141,27 +205,25 @@ class TestCampaignTrials:
 
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_trial_is_identical(self, kind, payloads, monkeypatch):
-        runs = {}
-        for hooked in (False, True):
+        runs, results = {}, {}
+        for mode in MODES:
             sims = []
 
             class RecordingSimulator(Simulator):
                 def __init__(self, *args, **kwargs):
                     super().__init__(*args, **kwargs)
-                    if hooked:
+                    if mode == "round_trip":
                         self.trace_hooks.append(_noop_hook)
                     sims.append(self)
 
             monkeypatch.setattr(repro.kernel, "Simulator", RecordingSimulator)
-            result = _run_trial(payloads[kind])
+            with _closed_form_off(mode):
+                results[mode] = _run_trial(payloads[kind])
             (sim,) = sims
-            runs[hooked] = (result, *_fingerprint(sim))
-        (result, as_is, advanced), (hooked_result, hooked, hooked_advances) = runs[False], runs[True]
-        assert result == hooked_result
-        assert result["fault"]["kind"] == kind
-        assert as_is == hooked
-        assert advanced > 0
-        assert hooked_advances == 0
+            runs[mode] = _fingerprint(sim)
+        assert results["closed"] == results["per_phase"] == results["round_trip"]
+        assert results["closed"]["fault"]["kind"] == kind
+        _assert_equivalent(runs)
 
 
 def _snapshot(sim, design, bus_name="system_bus"):
@@ -193,24 +255,25 @@ class TestSteppedRuns:
         ids=["7ns", "100ns", "1us"],
     )
     def test_lockstep_snapshots_match(self, step, window):
-        sims = {hooked: _build_soc(NETLISTS["split"], hooked) for hooked in (False, True)}
+        sims = {mode: _build_soc(NETLISTS["split"], mode) for mode in MODES}
         until = step
         while until <= window:
             snapshots = []
-            for hooked in (False, True):
-                sim, design, _, _ = sims[hooked]
-                assert sim.run(until=until) == until
+            for mode in MODES:
+                sim, design, _, _ = sims[mode]
+                with _closed_form_off(mode):
+                    assert sim.run(until=until) == until
                 snapshots.append(_snapshot(sim, design))
-            assert snapshots[0] == snapshots[1]
+            assert snapshots[0] == snapshots[1] == snapshots[2]
             until = until + step
         runs = {}
-        for hooked in (False, True):
-            sim, _, runner, jobs = sims[hooked]
-            sim.run()
+        for mode in MODES:
+            sim, _, runner, jobs = sims[mode]
+            with _closed_form_off(mode):
+                sim.run()
             assert len(runner.results) == len(jobs)
-            runs[hooked] = _fingerprint(sim, runner)
-        assert runs[False][0] == runs[True][0]
-        assert runs[False][1] > 0
+            runs[mode] = _fingerprint(sim, runner)
+        _assert_equivalent(runs)
 
 
 #: One background master: (start ns, gap ns, burst words, priority,
@@ -229,22 +292,20 @@ background_masters = st.lists(
 )
 
 
-def _contended_fetch(protocol, arbitration, masters, victim, hooked):
+def _contended_fetch(protocol, arbitration, masters, victim, mode):
     """A fetching SoC plus background masters on the bus the fetch uses.
 
     The victim master is killed right after it asks for the bus; with
     ``late_kill_ns`` set, the first background master is killed that long
     after, in whatever state it is in by then.  Returns the run's
-    fingerprint, its in-place advance count and whether the victim was
-    still queued when it was killed (``[True]``) or had already been
-    granted the bus (``[False]``)."""
+    fingerprint triple and whether the victim was still queued when it
+    was killed (``[True]``) or had already been granted the bus
+    (``[False]``)."""
     kwargs = {"bus_protocol": protocol, "arbitration": arbitration}
     if protocol == "blocking":
         kwargs["dedicated_config_bus"] = True
     netlist, info = make_reconfigurable_netlist(ACCELS, tech=VIRTEX2PRO, **kwargs)
-    sim = Simulator()
-    if hooked:
-        sim.trace_hooks.append(_noop_hook)
+    sim = _simulator(mode)
     design = netlist.elaborate(sim)
     bus = design["config_bus" if protocol == "blocking" else "system_bus"]
     base = info.cfg_base + CFG_SCRATCH
@@ -294,11 +355,12 @@ def _contended_fetch(protocol, arbitration, masters, victim, hooked):
             background[0].kill()
 
     sim.spawn("killer", killer)
-    sim.run(until=us(100))
-    seen, advances = _fingerprint(sim, runner)
+    with _closed_form_off(mode):
+        sim.run(until=us(100))
+    seen, advances, closed = _fingerprint(sim, runner)
     seen["states"] = [(p.name, p.state, p.wait_description) for p in sim._processes]
     seen["pending"] = sim.pending_timed_count()
-    return seen, advances, killed_while_queued
+    return (seen, advances, closed), killed_while_queued
 
 
 class TestBackgroundMasters:
@@ -310,15 +372,12 @@ class TestBackgroundMasters:
     )
     @settings(max_examples=25, deadline=None)
     def test_contended_fetch_is_identical(self, protocol, arbitration, masters, victim):
-        as_is, advanced, killed = _contended_fetch(protocol, arbitration, masters, victim, False)
-        hooked, hooked_advances, _ = _contended_fetch(
-            protocol, arbitration, masters, victim, True
-        )
-        assert as_is == hooked
-        assert advanced > 0
-        assert hooked_advances == 0
+        runs, killed = {}, {}
+        for mode in MODES:
+            runs[mode], killed[mode] = _contended_fetch(protocol, arbitration, masters, victim, mode)
+        _assert_equivalent(runs)
         # The rest of the strategy is about a victim killed in the queue.
-        assume(killed == [True])
+        assume(killed["closed"] == [True])
 
     def test_victim_killed_between_grant_and_resumption(self):
         """At 20 ns the victim finds the bus busy, wakes the killer and asks
@@ -327,13 +386,179 @@ class TestBackgroundMasters:
         owning a grant it never resumed on, and withdrawing it frees the
         bus: the dead victim does not keep it."""
         draw = ("split", "fifo", [(21, 0, 1, 0, 1, False)], (20, 0, None))
-        as_is, advanced, killed = _contended_fetch(*draw, False)
-        hooked, hooked_advances, _ = _contended_fetch(*draw, True)
-        assert killed == [False]
-        assert as_is == hooked
-        assert advanced > 0 and hooked_advances == 0
-        *transactions, (owner, waiters) = as_is["top.system_bus"]
+        runs, killed = {}, {}
+        for mode in MODES:
+            runs[mode], killed[mode] = _contended_fetch(*draw, mode)
+        assert killed["closed"] == [False]
+        _assert_equivalent(runs)
+        _, transactions, (owner, waiters, _, _) = runs["closed"][0]["top.system_bus"]
         assert owner != "victim" and "victim" not in waiters
         assert all(t[1] != "victim" for t in transactions)
         # The bus stays usable: the background master's later read completes.
         assert [t[-1] for t in transactions if t[1] == "bg0"] == ["ok"]
+
+
+#: Words in each memory of the train rig.
+MEM_WORDS = 512
+
+
+def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=None, max_wall_s=None):
+    """One master reads a ``count``-word train in ``burst``-word bursts
+    from word ``start`` of a bus with two memories back to back: ``low``
+    (words [0, MEM_WORDS)) and ``high`` (the next MEM_WORDS).  It first
+    waits ``pre_waits`` times 1 ns; each of ``others`` is a process that
+    only waits that many ns.  The run stops at ``until`` (a snapshot is
+    taken) and then runs to its end.
+
+    Returns each mode's fingerprint triple, and the closed-form declines
+    of the ``closed`` run."""
+    runs = {}
+    for mode in MODES:
+        sim = _simulator(mode)
+        bus = Bus("bus", sim=sim, protocol=protocol)
+        for i, name in enumerate(("low", "high")):
+            memory = Memory(
+                name, sim=sim, base=4 * MEM_WORDS * i, size_words=MEM_WORDS, latency_cycles=2 + i
+            )
+            memory.poke(memory.base, [(i << 16) + w for w in range(MEM_WORDS)])
+            bus.register_slave(memory)
+        outcome = []
+
+        def fetcher():
+            for _ in range(pre_waits):
+                yield ns(1)
+            try:
+                data = yield from bus.read(4 * start, count, master="dma", tags=["config"], burst=burst)
+            except SimulationError as exc:
+                data = str(exc)
+            outcome.append((data, sim.now))
+
+        sim.spawn("fetcher", fetcher)
+        for i, wake in enumerate(others):
+            sim.spawn(f"other{i}", lambda wake=wake: (yield ns(wake)))
+        snapshot = None
+        with _closed_form_off(mode):
+            if until is not None:
+                sim.run(until=until, max_wall_s=max_wall_s)
+                snapshot = _fingerprint(sim)[0], [
+                    (p.name, p.state, p.wait_description) for p in sim._processes
+                ]
+            sim.run(max_wall_s=max_wall_s)
+        seen, advances, closed = _fingerprint(sim)
+        seen["outcome"] = outcome
+        seen["snapshot"] = snapshot
+        runs[mode] = (seen, advances, closed)
+        if mode == "closed":
+            declines = bus.closed_form_declines
+    return runs, declines
+
+
+def _transient_runs(target, at_ns, n_bursts, seed):
+    """The DRCF rig fetching s0, s1, s0, s1 with one ``bus_transient``
+    fault armed.  Returns each mode's fingerprint triple (with the loaded
+    contexts' corruption flags and the injector's log), and the
+    closed-form declines of the ``closed`` run."""
+    runs = {}
+    for mode in MODES:
+        rig = make_rig()
+        if mode == "round_trip":
+            rig.sim.trace_hooks.append(_noop_hook)
+        injector = FaultInjector(seed=seed)
+        injector.arm(FaultSpec("bus_transient", target, at_ns=float(at_ns), n_bursts=n_bursts))
+        injector.attach(rig.sim, rig_design(rig), RIG_INFO)
+        with _closed_form_off(mode):
+            access(rig, 0, 1, 0, 1)
+        seen, advances, closed = _fingerprint(rig.sim)
+        seen["corrupted"] = [rig.drcf.loaded_corrupted(name) for name in ("s0", "s1")]
+        seen["events"] = injector.events
+        runs[mode] = (seen, advances, closed)
+        if mode == "closed":
+            declines = rig.bus.closed_form_declines
+    return runs, declines
+
+
+protocols = st.sampled_from(["blocking", "split"])
+bursts = st.integers(1, 16)
+
+
+class TestTrainEdges:
+    """Generated trains at the edges of the closed form."""
+
+    @given(protocols, bursts, st.integers(1, 48), st.integers(1, MEM_WORDS + 16))
+    @settings(deadline=None)
+    def test_crossing_a_slave_boundary(self, protocol, burst, before, after):
+        """The train starts ``before`` words short of ``high``: a burst that
+        straddles the boundary fails in ``low``, a train that runs past
+        ``high`` fails to decode, and either error surfaces at the same
+        burst and the same time."""
+        assume(before + after > burst)
+        runs, declines = _train_runs(protocol, MEM_WORDS - before, before + after, burst)
+        _assert_equivalent(runs, engaged=False)
+        assert declines["range"] > 0
+
+    @given(protocols, bursts, st.integers(2, 120), st.integers(0, 3000))
+    @settings(deadline=None)
+    def test_running_into_until(self, protocol, burst, count, until_ns):
+        """``until`` cuts the train: the closed form books only the bursts
+        that end by then, and the run stops where the per-phase path stops."""
+        assume(count > burst)
+        runs, _ = _train_runs(protocol, 0, count, burst, until=ns(until_ns))
+        _assert_equivalent(runs)
+
+    @given(protocols, st.integers(1, 4), st.integers(86, 120), st.integers(0, 255))
+    @settings(deadline=None)
+    def test_crossing_watchdog_check_points(self, protocol, burst, n_bursts, pre_waits):
+        """With the watchdog armed, the kernel checks the wall clock every
+        256 process executions and timed activations.  The closed form
+        stops short of each check, and the per-phase loop leaves the wait
+        that is due for one to the kernel."""
+        runs, declines = _train_runs(
+            protocol, 0, n_bursts * burst, burst, pre_waits=pre_waits, max_wall_s=600.0
+        )
+        _assert_equivalent(runs)
+        assert declines["horizon"] > 0  # 258 waits or more: a check cut the train
+
+    @given(
+        protocols, bursts, st.integers(2, MEM_WORDS // 2), st.lists(st.integers(0, 4000), max_size=4)
+    )
+    @settings(deadline=None)
+    def test_a_timed_action_cuts_the_prefix(self, protocol, burst, count, wakes):
+        """Other processes wake in mid-train: the closed form books only the
+        bursts that end before the next wake, and picks up after it."""
+        assume(count > burst)
+        runs, _ = _train_runs(protocol, 0, count, burst, others=wakes)
+        _assert_equivalent(runs, engaged=False)
+
+    @given(protocols, st.integers(2, 16), st.integers(1, 15), st.integers(1, 15))
+    @settings(deadline=None)
+    def test_partial_last_burst(self, protocol, burst, full, rest):
+        rest = 1 + (rest - 1) % (burst - 1)
+        runs, _ = _train_runs(protocol, 3, full * burst + rest, burst)
+        _assert_equivalent(runs)
+        ((data, _),) = runs["closed"][0]["outcome"]
+        assert data == list(range(3, 3 + full * burst + rest))
+        _, transactions, _ = runs["closed"][0]["bus"]
+        assert [t[4] for t in transactions] == [burst] * full + [rest]
+
+    @given(
+        st.sampled_from(["s0", "s1"]),
+        st.integers(0, 12_000),
+        st.integers(1, 6),
+        st.integers(0, 2**16),
+    )
+    @settings(deadline=None)
+    def test_bus_transient_in_mid_train(self, target, at_ns, n_bursts, seed):
+        """A ``bus_transient`` fault arms the memory's read filter: the
+        closed form declines (``read_filter``) until the fault's bursts are
+        spent, possibly in mid-train, and the same bursts get the same
+        flipped bits on every path."""
+        runs, _ = _transient_runs(target, at_ns, n_bursts, seed)
+        _assert_equivalent(runs, engaged=False)
+
+    def test_bus_transient_spent_in_the_first_burst(self):
+        """The fault hits the first burst of the first fetch; the rest of
+        that train and every later fetch take the closed form."""
+        runs, declines = _transient_runs("s0", 0, 1, 7)
+        _assert_equivalent(runs)
+        assert declines["read_filter"] == 1
+        assert len(runs["closed"][0]["events"]) == 1

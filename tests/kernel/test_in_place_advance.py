@@ -112,6 +112,70 @@ class TestPredicate:
         sim.run()
 
 
+class TestHorizon:
+    """``alone_horizon``: how far the running thread may wait in place."""
+
+    @staticmethod
+    def _horizon(sim, setup=None, **run_kwargs):
+        seen = []
+
+        def body():
+            if setup is not None:
+                setup()
+            seen.append(sim.alone_horizon())
+            yield ns(1)
+
+        sim.spawn("probe", body)
+        sim.run(**run_kwargs)
+        return seen[0]
+
+    def test_unbounded(self, sim):
+        assert self._horizon(sim) == (None, None)
+
+    def test_before_the_next_live_timed_action_and_until(self, sim):
+        ev = Event(sim, "e")
+        one_fs_before = ns(50).femtoseconds - 1
+        assert self._horizon(sim, lambda: ev.notify(ns(50))) == (one_fs_before, None)
+        assert self._horizon(Simulator(), until=ns(30)) == (ns(30).femtoseconds, None)
+
+    def test_none_when_not_alone(self, sim):
+        assert self._horizon(sim, lambda: sim.spawn("other", lambda: (yield ns(5)))) is None
+
+    @pytest.mark.parametrize(
+        "executions, activations, waits",
+        [(1, 1, 255), (255, 3, 1), (200, 250, 6), (256, 1, 0), (3, 512, 0)],
+    )
+    def test_waits_left_before_a_watchdog_check(self, sim, executions, activations, waits):
+        def setup():
+            sim.stats.process_executions = executions
+            sim.stats.timed_activations = activations
+
+        assert self._horizon(sim, setup, max_wall_s=60.0) == (None, waits)
+
+    def test_book_alone_books_each_round_trip(self):
+        sims = {}
+        for in_place in (True, False):
+            sim = sims[in_place] = Simulator()
+
+            def body(sim=sim, in_place=in_place):
+                yield ns(1)
+                if in_place:
+                    sim.book_alone(5, sim.now.femtoseconds + ns(50).femtoseconds)
+                else:
+                    for _ in range(5):
+                        yield ns(10)
+
+            sim.spawn("p", body)
+            sim.run()
+        fast, slow = sims[True], sims[False]
+        assert fast.now == slow.now == ns(51)
+        assert fast._seq == slow._seq
+        assert fast.stats.in_place_advances == 5
+        fast_stats = fast.stats.as_dict()
+        fast_stats["in_place_advances"] = 0
+        assert fast_stats == slow.stats.as_dict()
+
+
 def test_simulator_keeps_a_compact_attribute_table():
     """CPython 3.11 stops sharing instance attribute keys past 29
     attributes; the scheduler loop's attribute reads then slow down."""
