@@ -35,13 +35,9 @@ end within the kernel's :meth:`Simulator.alone_horizon
 <repro.kernel.Simulator.alone_horizon>` in one step (the skipped kernel
 round trips, the arbiter's grants, one memory slice and one monitor
 :class:`~repro.bus.monitor.TrainRecord`), with the same times, counters
-and data as burst by burst.  A burst it declines, counted by reason in
-:attr:`Bus.closed_form_declines`, runs phase by phase, and each of its
-phase waits first asks :meth:`Simulator.advance_alone
-<repro.kernel.Simulator.advance_alone>`, which advances simulated time in
-place while no other process could run or observe the kernel before the
-wake (docs/KERNEL.md, "In-place advance for burst trains"); single
-transfers keep their kernel round trip.
+and data as burst by burst (docs/KERNEL.md, "Closed-form burst trains").
+A burst it declines, counted by reason in :attr:`Bus.closed_form_declines`,
+waits out its phases through the kernel, as single transfers do.
 """
 
 from __future__ import annotations
@@ -70,7 +66,6 @@ CLOSED_FORM_DECLINES = (
     "contended",
     "not_memory",
     "range",
-    "listener",
     "read_filter",
     "not_alone",
     "horizon",
@@ -269,10 +264,7 @@ class Bus(Module, BusMasterIf):
         several bursts, each burst first offers itself to
         :meth:`_closed_form`, which books it and the bursts after it at
         once while the fetching master is alone; a burst it declines runs
-        phase by phase, and each phase wait first tries
-        :meth:`Simulator.advance_alone`, which advances simulated time in
-        place while no other process could run or observe the kernel
-        before the wake; otherwise the wait goes through the kernel.
+        phase by phase, each phase wait a kernel round trip.
         """
         sim = self.sim
         arbiter = self.arbiter
@@ -282,11 +274,8 @@ class Bus(Module, BusMasterIf):
         request_beat = self.cycles(1) if split else None
         train = count > burst
         if train:
-            advance = sim.advance_alone
             stride = burst * self.word_bytes
             words: List[int] = []
-        else:
-            advance = None
         while True:
             # Decode errors surface before arbitration.
             memory = self._route(addr)[1]
@@ -321,20 +310,17 @@ class Bus(Module, BusMasterIf):
             slave, memory = self._route(addr)
             status: Optional[str] = "ok"
             try:
-                if advance is None or not advance(address_phase):
-                    yield address_phase
+                yield address_phase
                 if split:
                     # Split: release the bus while the slave processes.
-                    if advance is None or not advance(request_beat):
-                        yield request_beat
+                    yield request_beat
                     arbiter.release(master)
                     held = False
                 if kind != "read":
                     yield from slave.write(addr, payload if n > 1 else payload[0])
                 elif memory is not None:
                     index, wait = memory._read_latency(addr, n)
-                    if advance is None or not advance(wait):
-                        yield wait
+                    yield wait
                     data = memory._read_sample(addr, index, n)
                 else:
                     data = yield from slave.read(addr, n)
@@ -348,8 +334,7 @@ class Bus(Module, BusMasterIf):
                             raise
                     held = True
                 wait = self.cycles(n * self.cycles_per_word)
-                if advance is None or not advance(wait):
-                    yield wait
+                yield wait
             except GeneratorExit:
                 status = None  # master killed mid-transfer: nothing completed
                 raise
@@ -401,12 +386,12 @@ class Bus(Module, BusMasterIf):
 
         The ``count`` words left of the train start with a burst at
         ``addr``, which decodes to ``memory`` (None when its slave is not
-        a :class:`Memory`).  While the fetching master is alone, every one
-        of its phase waits would advance in place, so the bursts' times,
-        counters and data are known in advance: each burst is issued and
-        granted at the previous one's completion and lasts its phases, the
-        very cached durations the per-phase loop waits on.  The largest number
-        of whole bursts that end within the kernel's
+        a :class:`Memory`).  While the fetching master is alone, no other
+        process runs or observes the kernel between its phase waits, so the
+        bursts' times, counters and data are known in advance: each burst
+        is issued and granted at the previous one's completion and lasts
+        its phases, the very cached durations the per-phase loop waits on.
+        The largest number of whole bursts that end within the kernel's
         :meth:`~repro.kernel.Simulator.alone_horizon` (and whose phase
         waits stay within its ``max_waits``) is booked in one step: the
         kernel round trips, the arbiter grants, one memory slice and one
@@ -416,8 +401,7 @@ class Bus(Module, BusMasterIf):
         the burst to the per-phase loop: the arbiter is held or queued
         (``contended``); the burst's slave is not a :class:`Memory`
         (``not_memory``); the rest of the train is not one aligned span of
-        that memory's words (``range``); the monitor has a listener
-        (``listener``); the memory's read filter is armed
+        that memory's words (``range``); the memory's read filter is armed
         (``read_filter``); the master is not alone (``not_alone``); or not
         even one burst fits the horizon (``horizon``).
         """
@@ -432,8 +416,6 @@ class Bus(Module, BusMasterIf):
             or (addr - memory.base) // self.word_bytes + count > memory.size_words
         ):
             reason = "range"
-        elif self.monitor.listeners:
-            reason = "listener"
         elif not memory._read_filter_idle(addr, count):
             reason = "read_filter"
         else:

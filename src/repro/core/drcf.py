@@ -70,6 +70,10 @@ class Drcf(Module, BusSlaveIf):
     fabric_capacity_gates:
         Gate budget when ``use_area_slots`` is set; defaults to the largest
         context (single-context equivalent) — pass more to host several.
+    recovery:
+        What the fabric does when a configuration load goes wrong (fetch
+        verification, retries, scrubbing); ``None`` is ``RecoveryPolicy()``,
+        which verifies nothing.
     """
 
     #: Context switches issue master reads on the bound bus.  The static
@@ -95,8 +99,6 @@ class Drcf(Module, BusSlaveIf):
         use_area_slots: bool = False,
         fabric_capacity_gates: Optional[int] = None,
         config_cache_bytes: Optional[int] = None,
-        verify_config: bool = False,
-        max_fetch_retries: int = 2,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> None:
         super().__init__(name, parent=parent, sim=sim)
@@ -113,6 +115,12 @@ class Drcf(Module, BusSlaveIf):
             raise SimulationError(
                 f"DRCF {name}: technology {tech.name!r} is not reconfigurable"
             )
+        if config_burst_words <= 0:
+            raise SimulationError(
+                f"DRCF {name}: config_burst_words must be positive, not {config_burst_words}"
+            )
+        if word_bytes <= 0:
+            raise SimulationError(f"DRCF {name}: word_bytes must be positive, not {word_bytes}")
         self._check_disjoint(contexts)
         self.contexts: List[Context] = list(contexts)
         self.tech = tech
@@ -120,12 +128,8 @@ class Drcf(Module, BusSlaveIf):
         self.word_bytes = word_bytes
         # Integrity modeling: checksum every fetched bitstream against the
         # context's expected value (fine-grain devices CRC each frame) and
-        # refetch on mismatch, up to max_fetch_retries extra attempts.  The
-        # legacy verify_config/max_fetch_retries pair is subsumed by the
-        # richer RecoveryPolicy (backoff, scrubbing, timeout, fallback).
-        if recovery is None:
-            recovery = RecoveryPolicy(verify=verify_config, max_retries=max_fetch_retries)
-        self.recovery = recovery
+        # refetch on mismatch, as the recovery policy says.
+        self.recovery = recovery if recovery is not None else RecoveryPolicy()
         #: Fault injector hook surface (repro.faults); None = disarmed, and
         #: the fetch path pays one ``is None`` test for it.
         self.fault_hook = None
@@ -181,16 +185,6 @@ class Drcf(Module, BusSlaveIf):
         self._maybe_start_scrubber()
 
     # -- recovery policy -----------------------------------------------------------
-    @property
-    def verify_config(self) -> bool:
-        """Back-compat mirror of :attr:`recovery`.verify."""
-        return self.recovery.verify
-
-    @property
-    def max_fetch_retries(self) -> int:
-        """Back-compat mirror of :attr:`recovery`.max_retries."""
-        return self.recovery.max_retries
-
     def set_recovery(self, recovery: RecoveryPolicy) -> None:
         """Select a recovery policy (campaigns call this post-elaboration)."""
         self.recovery = recovery
@@ -336,8 +330,8 @@ class Drcf(Module, BusSlaveIf):
         Each attempt is one bus request: a burst train of
         ``config_burst_words``-word bursts that the bus re-arbitrates and
         records burst by burst, exactly like separate burst reads, and
-        books in closed form or advances through in place while nothing
-        else can run (see :meth:`repro.bus.Bus.read`).
+        books in closed form while nothing else can run (see
+        :meth:`repro.bus.Bus.read`).
 
         Returns the number of words actually fetched over the bus (0 when
         the on-chip bitstream cache hit; the configuration-port programming

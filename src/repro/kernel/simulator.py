@@ -34,8 +34,8 @@ A thread that is alone on the timeline may also wait without leaving
 its generator: :meth:`Simulator.alone_horizon` says how far it may go,
 and :meth:`Simulator.book_alone` advances time in place and books the
 round trips it skipped, so nothing observable changes.  The bus uses them
-inside burst trains, one phase at a time (:meth:`Simulator.advance_alone`)
-or for whole bursts at once (see docs/KERNEL.md).
+to book whole bursts of an uncontended burst train at once (see
+docs/KERNEL.md, "Closed-form burst trains").
 """
 
 from __future__ import annotations
@@ -71,9 +71,10 @@ class TimedAction:
 
 
 class _RunState:
-    """What :meth:`Simulator.advance_alone` must respect in the current run:
-    its end, the watchdog's deadline, and ``delta_cycles`` at the last
-    in-place advance, where the per-instant delta guard restarts.
+    """What in-place waits must respect in the current run: its end and the
+    watchdog's deadline (read by :meth:`Simulator.alone_horizon`), and
+    ``delta_cycles`` at the last :meth:`Simulator.book_alone`, where the
+    per-instant delta guard restarts.
 
     One attribute on the simulator, not three: CPython 3.11 stops sharing
     an instance's attribute keys past 29 attributes, and the slower dict
@@ -110,10 +111,10 @@ class SimulatorStats:
         self.delta_cycles = 0
         self.timed_activations = 0
         self.signal_updates = 0
-        #: Timed waits a burst train advanced in place instead of yielding
-        #: (:meth:`Simulator.advance_alone`); each is also counted in
-        #: ``timed_activations`` and ``process_executions``, as the kernel
-        #: round trip would have been.
+        #: Timed waits that closed-form burst trains booked in place instead
+        #: of yielding (:meth:`Simulator.book_alone`); each is also counted
+        #: in ``timed_activations`` and ``process_executions``, as the
+        #: kernel round trip would have been.
         self.in_place_advances = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -505,20 +506,6 @@ class Simulator:
                 max_waits = min(256 - executions, 256 - activations)
         return last_wake_fs, max_waits
 
-    def alone_until(self, wake_fs: int) -> bool:
-        """Is the running process alone on the timeline up to ``wake_fs``?
-
-        True when a timed wait of the running thread until ``wake_fs``
-        would be the next and only thing the kernel does: the wake lies
-        within :meth:`alone_horizon` and the watchdog is not due for a
-        check.  Always False outside a process execution.
-        """
-        horizon = self.alone_horizon()
-        if horizon is None or wake_fs < self._now_fs:
-            return False  # a negative wait: the round trip raises the error
-        last_wake_fs, max_waits = horizon
-        return (last_wake_fs is None or wake_fs <= last_wake_fs) and max_waits != 0
-
     def book_alone(self, n: int, wake_fs: int) -> None:
         """Book ``n`` timed waits of the running thread done in place, the
         last one waking at ``wake_fs``, and move time there.
@@ -537,21 +524,6 @@ class Simulator:
         stats.in_place_advances += n
         self._now_fs = wake_fs
         self._run_state.advanced_at_delta = stats.delta_cycles
-
-    def advance_alone(self, delay: SimTime) -> bool:
-        """Wait ``delay`` in place if the running process is alone until then.
-
-        When :meth:`alone_until` holds for the wake time, time advances
-        there without leaving the process and the round trip is booked
-        (:meth:`book_alone` with ``n = 1``).  Returns False, with no
-        observable effect, when the wait must be yielded to the kernel
-        instead.  See docs/KERNEL.md, "In-place advance for burst trains".
-        """
-        wake_fs = self._now_fs + delay._fs
-        if not self.alone_until(wake_fs):
-            return False
-        self.book_alone(1, wake_fs)
-        return True
 
     def _trip_watchdog(self, max_wall_s: float) -> None:
         """Stop the run: the wall-clock budget is exhausted.

@@ -2,8 +2,8 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.bus import Bus, BusMonitor, Memory, Transaction, TrainRecord
-from repro.kernel import ZERO_TIME, Simulator, fs, ns, us
+from repro.bus import BusMonitor, Transaction, TrainRecord
+from repro.kernel import ZERO_TIME, fs, ns, us
 
 
 def txn(kind="read", master="cpu", slave="mem", words=4, issued=0, granted=0, done=40, tags=()):
@@ -59,13 +59,6 @@ class TestAggregation:
         assert t.arbitration_wait == ns(5)
         assert t.latency == ns(35)
         assert not t.has_tag("config")
-
-    def test_listeners_called(self):
-        monitor = BusMonitor()
-        seen = []
-        monitor.listeners.append(lambda t: seen.append(t.words))
-        monitor.record(txn(words=3))
-        assert seen == [3]
 
     def test_reset(self):
         monitor = BusMonitor()
@@ -131,9 +124,6 @@ def _feed(records):
     """One monitor fed ``records`` as given, and one fed the same traffic
     as single transactions, each train expanded burst by burst."""
     with_records, expanded = BusMonitor(), BusMonitor()
-    seen = {id(with_records): [], id(expanded): []}
-    for monitor in (with_records, expanded):
-        monitor.listeners.append(seen[id(monitor)].append)
     for entry in records:
         if isinstance(entry, TrainRecord):
             with_records.record_train(entry)
@@ -142,7 +132,6 @@ def _feed(records):
         else:
             with_records.record(entry)
             expanded.record(entry)
-    assert seen[id(with_records)] == seen[id(expanded)]
     return with_records, expanded
 
 
@@ -197,24 +186,3 @@ class TestTrainRecords:
         monitor.transactions.clear()
         assert monitor.transaction_count == len(monitor.transactions) == 2
 
-
-class TestListenerOnABus:
-    def test_a_listener_declines_the_closed_form(self):
-        """With a listener attached, every burst of a train runs phase by
-        phase, and the listener sees each at its completion time."""
-        sim = Simulator()
-        bus = Bus("bus", sim=sim)
-        bus.register_slave(Memory("mem", sim=sim, size_words=64))
-        heard = []
-        bus.monitor.listeners.append(lambda txn: heard.append((sim.now, txn)))
-
-        def fetch():
-            yield from bus.read(0, 20, master="dma", burst=8)
-
-        sim.spawn("dma", fetch)
-        sim.run()
-        assert bus.closed_form_bursts == 0
-        assert bus.closed_form_declines["listener"] == 3
-        assert [txn.words for _, txn in heard] == [8, 8, 4]
-        assert all(now == txn.completed_at for now, txn in heard)
-        assert [txn for _, txn in heard] == bus.monitor.transactions

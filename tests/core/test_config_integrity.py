@@ -3,13 +3,17 @@
 import pytest
 
 from repro.bus import region_checksum
-from repro.core import ContextParameters
+from repro.core import RecoveryPolicy
 from repro.kernel import ProcessError, SimulationError
 from tests.core.helpers import DrcfRig
 
 
-def make_rig(verify=True, **kwargs):
-    rig = DrcfRig(n_contexts=2, context_gates=1000, verify_config=verify, **kwargs)
+def make_rig(verify=True, max_retries=2):
+    rig = DrcfRig(
+        n_contexts=2,
+        context_gates=1000,
+        recovery=RecoveryPolicy(verify=verify, max_retries=max_retries),
+    )
     # DrcfRig builds contexts by hand; stamp the expected checksums the way
     # the transformation's post-elaboration hook does.
     for context in rig.drcf.contexts:
@@ -98,9 +102,9 @@ class TestVerifiedFetch:
 
     @pytest.mark.parametrize("max_retries", [1, 3])
     def test_retry_budget_is_exhausted_before_raising(self, max_retries):
-        """The fetch retries exactly ``max_fetch_retries`` times, counting
+        """The fetch retries exactly ``max_retries`` times, counting
         each retry, before giving up on persistent corruption."""
-        rig = make_rig(max_fetch_retries=max_retries)
+        rig = make_rig(max_retries=max_retries)
         rig.cfgmem.inject_transient_error("s0", n_bursts=100)
 
         def body():
@@ -110,15 +114,15 @@ class TestVerifiedFetch:
         with pytest.raises(ProcessError, match="failed its checksum"):
             rig.sim.run()
         stats = rig.drcf.stats
-        # First fetch + max_fetch_retries refetches, each failing its check.
+        # First fetch + max_retries refetches, each failing its check.
         assert stats.config_retries == max_retries + 1
         assert stats.context("s0").fetch_retries == max_retries + 1
         words = rig.drcf.contexts[0].params.config_words(4)
         assert rig.bus.monitor.words_by_tag("config") == (max_retries + 1) * words
 
     def test_retry_budget_survives_matching_transient_corruption(self):
-        """Corruption lasting exactly ``max_fetch_retries`` fetches recovers."""
-        rig = make_rig(max_fetch_retries=3)
+        """Corruption lasting exactly ``max_retries`` fetches recovers."""
+        rig = make_rig(max_retries=3)
         # n_bursts counts burst reads; corrupt every burst of exactly the
         # first three full fetch attempts.
         words = rig.drcf.contexts[0].params.config_words(4)
@@ -135,7 +139,7 @@ class TestVerifiedFetch:
         assert rig.drcf.stats.config_retries == 0
 
     def test_verify_without_checksum_is_noop(self):
-        rig = DrcfRig(n_contexts=1, context_gates=500, verify_config=True)
+        rig = DrcfRig(n_contexts=1, context_gates=500, recovery=RecoveryPolicy(verify=True))
         assert rig.drcf.contexts[0].params.checksum is None
         access(rig, 0)
         assert rig.drcf.stats.config_retries == 0

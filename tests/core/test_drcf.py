@@ -23,6 +23,17 @@ class TestConstruction:
         with pytest.raises(SimulationError, match="not reconfigurable"):
             Drcf("d", sim=sim, contexts=[ctx], tech=ASIC)
 
+    @pytest.mark.parametrize(
+        "parameter, value", [("config_burst_words", -4), ("config_burst_words", 0), ("word_bytes", 0)]
+    )
+    def test_rejects_non_positive_burst_or_word_size(self, parameter, value):
+        """Caught at construction, not at the first context switch."""
+        sim = Simulator()
+        slave = DummySlave("s", sim=sim, base=0x1000)
+        ctx = Context("s", slave, ContextParameters(0, 64))
+        with pytest.raises(SimulationError, match=f"DRCF d: {parameter} must be positive"):
+            Drcf("d", sim=sim, contexts=[ctx], tech=small_tech(), **{parameter: value})
+
     def test_rejects_overlapping_context_ranges(self):
         sim = Simulator()
         s1 = DummySlave("s1", sim=sim, base=0x1000, words=32)

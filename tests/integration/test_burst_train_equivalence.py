@@ -1,28 +1,22 @@
-"""Burst trains run three ways with no observable difference.
+"""Burst trains run two ways with no observable difference.
 
 A configuration fetch is one burst train (``Bus.read(..., burst=n)``).
 While the fetching process is alone on the timeline, the bus books whole
 bursts of it in closed form (``Bus._closed_form``): one horizon check,
 one booking of the skipped kernel round trips, one memory slice and one
-monitor record.  A burst the closed form declines runs phase by phase,
-and each phase wait first asks the kernel whether it may advance in
-place (``Simulator.advance_alone``).  Each design here runs three ways:
+monitor record.  A burst the closed form declines waits out its phases
+through the kernel.  Each design here runs two ways:
 
 * ``closed``: as is;
-* ``per_phase``: the closed form declines every burst (a test-only patch),
-  which leaves the per-phase in-place path;
-* ``round_trip``: a no-op hook in ``sim.trace_hooks``, which turns both
-  fast paths off and sends every phase through the kernel.
+* ``round_trip``: a no-op hook in ``sim.trace_hooks``, which turns the
+  closed form off and sends every phase through the kernel.
 
-All three must agree on everything a user can see: every bus transaction
-and monitor aggregate, the arbiter's counts, ``DrcfStats``, memory
-counters, job outputs, the end time, the kernel's sequence counter and
-every ``SimulatorStats`` counter except ``in_place_advances``, on which
-the first two must agree as well.
+Both must agree on everything a user can see: every bus transaction and
+monitor aggregate, the arbiter's counts, ``DrcfStats``, memory counters,
+job outputs, the end time, the kernel's sequence counter and every
+``SimulatorStats`` counter except ``in_place_advances``, which counts
+exactly the phase waits of the bursts booked in closed form.
 """
-
-import contextlib
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -43,26 +37,14 @@ from repro.kernel import Event, SimulationError, Simulator, ns, us
 from repro.tech import MORPHOSYS, VIRTEX2PRO
 from tests.faults.helpers import RIG_INFO, access, make_rig, rig_design
 
-MODES = ("closed", "per_phase", "round_trip")
+MODES = ("closed", "round_trip")
 ACCELS = ("fir", "xtea")
 #: Scratch window of the configuration memory, clear of every bitstream.
 CFG_SCRATCH = 0x0080_0000
 
 
 def _noop_hook(now):
-    """A trace hook that observes nothing; its presence disables both fast paths."""
-
-
-def _decline(self, *args):
-    """``Bus._closed_form`` that declines every burst."""
-    return None
-
-
-def _closed_form_off(mode):
-    """The test-only patch behind the ``per_phase`` mode."""
-    if mode == "per_phase":
-        return mock.patch.object(Bus, "_closed_form", _decline)
-    return contextlib.nullcontext()
+    """A trace hook that observes nothing; its presence disables the closed form."""
 
 
 def _simulator(mode):
@@ -79,10 +61,11 @@ def _modules(sim):
 
 
 def _fingerprint(sim, runner=None):
-    """Everything observable about a run, its in-place advance count and
-    the number of bursts the buses booked in closed form."""
+    """Everything observable about a run, its in-place advance count, the
+    number of bursts the buses booked in closed form, and those bursts'
+    phase waits (3 per burst under ``blocking``, 4 under ``split``)."""
     seen = {"end_fs": sim.now.femtoseconds, "seq": sim._seq}
-    closed = 0
+    closed = waits = 0
     for module in _modules(sim):
         name = module.full_name
         if isinstance(module, Bus):
@@ -112,6 +95,7 @@ def _fingerprint(sim, runner=None):
                 (arbiter.owner, arbiter.waiters, arbiter.grant_count, arbiter.contention_count),
             )
             closed += module.closed_form_bursts
+            waits += module.closed_form_bursts * (4 if module.protocol == "split" else 3)
         elif isinstance(module, Memory):
             seen[name] = (module.read_word_count, module.write_word_count, module.generation)
         elif isinstance(module, Drcf):
@@ -126,21 +110,18 @@ def _fingerprint(sim, runner=None):
     stats = sim.stats.as_dict()
     advances = stats.pop("in_place_advances")
     seen["stats"] = stats
-    return seen, advances, closed
+    return seen, advances, closed, waits
 
 
 def _assert_equivalent(runs, engaged=True):
-    """``runs`` maps each mode to ``_fingerprint``'s triple."""
-    closed, closed_advances, bursts = runs["closed"]
-    per_phase, per_phase_advances, per_phase_bursts = runs["per_phase"]
-    round_trip, round_trip_advances, round_trip_bursts = runs["round_trip"]
-    assert closed == per_phase
+    """``runs`` maps each mode to ``_fingerprint``'s quadruple."""
+    closed, advances, bursts, waits = runs["closed"]
+    round_trip, *round_trip_books = runs["round_trip"]
     assert closed == round_trip
-    assert closed_advances == per_phase_advances
-    assert per_phase_bursts == round_trip_bursts == round_trip_advances == 0
+    assert round_trip_books == [0, 0, 0]
+    assert advances == waits  # every in-place advance is a closed-form booking
     if engaged:
         assert bursts > 0  # the trains really took the closed form
-        assert per_phase_advances > 0  # and the per-phase path advanced in place
 
 
 def _build_soc(make, mode):
@@ -170,8 +151,7 @@ class TestReconfigurableNetlists:
         runs = {}
         for mode in MODES:
             sim, _, runner, jobs = _build_soc(NETLISTS[name], mode)
-            with _closed_form_off(mode):
-                sim.run()
+            sim.run()
             assert len(runner.results) == len(jobs)
             for job in runner.results:
                 assert job.outputs == golden_outputs(job.spec)
@@ -217,11 +197,10 @@ class TestCampaignTrials:
                     sims.append(self)
 
             monkeypatch.setattr(repro.kernel, "Simulator", RecordingSimulator)
-            with _closed_form_off(mode):
-                results[mode] = _run_trial(payloads[kind])
+            results[mode] = _run_trial(payloads[kind])
             (sim,) = sims
             runs[mode] = _fingerprint(sim)
-        assert results["closed"] == results["per_phase"] == results["round_trip"]
+        assert results["closed"] == results["round_trip"]
         assert results["closed"]["fault"]["kind"] == kind
         _assert_equivalent(runs)
 
@@ -245,9 +224,9 @@ def _snapshot(sim, design, bus_name="system_bus"):
 
 
 class TestSteppedRuns:
-    """``run(until=...)`` in small steps through a fetch: a phase whose
-    wake lies past ``until`` goes through the kernel, so the run stops
-    with the fetcher waiting exactly where the per-phase path stops it."""
+    """``run(until=...)`` in small steps through a fetch: a burst that
+    would end past ``until`` goes through the kernel, so the run stops
+    with the fetcher waiting exactly where the round trip stops it."""
 
     @pytest.mark.parametrize(
         "step, window",
@@ -261,16 +240,14 @@ class TestSteppedRuns:
             snapshots = []
             for mode in MODES:
                 sim, design, _, _ = sims[mode]
-                with _closed_form_off(mode):
-                    assert sim.run(until=until) == until
+                assert sim.run(until=until) == until
                 snapshots.append(_snapshot(sim, design))
-            assert snapshots[0] == snapshots[1] == snapshots[2]
+            assert snapshots[0] == snapshots[1]
             until = until + step
         runs = {}
         for mode in MODES:
             sim, _, runner, jobs = sims[mode]
-            with _closed_form_off(mode):
-                sim.run()
+            sim.run()
             assert len(runner.results) == len(jobs)
             runs[mode] = _fingerprint(sim, runner)
         _assert_equivalent(runs)
@@ -298,7 +275,7 @@ def _contended_fetch(protocol, arbitration, masters, victim, mode):
     The victim master is killed right after it asks for the bus; with
     ``late_kill_ns`` set, the first background master is killed that long
     after, in whatever state it is in by then.  Returns the run's
-    fingerprint triple and whether the victim was still queued when it
+    fingerprint quadruple and whether the victim was still queued when it
     was killed (``[True]``) or had already been granted the bus
     (``[False]``)."""
     kwargs = {"bus_protocol": protocol, "arbitration": arbitration}
@@ -355,12 +332,11 @@ def _contended_fetch(protocol, arbitration, masters, victim, mode):
             background[0].kill()
 
     sim.spawn("killer", killer)
-    with _closed_form_off(mode):
-        sim.run(until=us(100))
-    seen, advances, closed = _fingerprint(sim, runner)
+    sim.run(until=us(100))
+    seen, *books = _fingerprint(sim, runner)
     seen["states"] = [(p.name, p.state, p.wait_description) for p in sim._processes]
     seen["pending"] = sim.pending_timed_count()
-    return (seen, advances, closed), killed_while_queued
+    return (seen, *books), killed_while_queued
 
 
 class TestBackgroundMasters:
@@ -410,7 +386,7 @@ def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=
     only waits that many ns.  The run stops at ``until`` (a snapshot is
     taken) and then runs to its end.
 
-    Returns each mode's fingerprint triple, and the closed-form declines
+    Returns each mode's fingerprint quadruple, and the closed-form declines
     of the ``closed`` run."""
     runs = {}
     for mode in MODES:
@@ -437,17 +413,16 @@ def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=
         for i, wake in enumerate(others):
             sim.spawn(f"other{i}", lambda wake=wake: (yield ns(wake)))
         snapshot = None
-        with _closed_form_off(mode):
-            if until is not None:
-                sim.run(until=until, max_wall_s=max_wall_s)
-                snapshot = _fingerprint(sim)[0], [
-                    (p.name, p.state, p.wait_description) for p in sim._processes
-                ]
-            sim.run(max_wall_s=max_wall_s)
-        seen, advances, closed = _fingerprint(sim)
+        if until is not None:
+            sim.run(until=until, max_wall_s=max_wall_s)
+            snapshot = _fingerprint(sim)[0], [
+                (p.name, p.state, p.wait_description) for p in sim._processes
+            ]
+        sim.run(max_wall_s=max_wall_s)
+        seen, *books = _fingerprint(sim)
         seen["outcome"] = outcome
         seen["snapshot"] = snapshot
-        runs[mode] = (seen, advances, closed)
+        runs[mode] = (seen, *books)
         if mode == "closed":
             declines = bus.closed_form_declines
     return runs, declines
@@ -455,7 +430,7 @@ def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=
 
 def _transient_runs(target, at_ns, n_bursts, seed):
     """The DRCF rig fetching s0, s1, s0, s1 with one ``bus_transient``
-    fault armed.  Returns each mode's fingerprint triple (with the loaded
+    fault armed.  Returns each mode's fingerprint quadruple (with the loaded
     contexts' corruption flags and the injector's log), and the
     closed-form declines of the ``closed`` run."""
     runs = {}
@@ -466,12 +441,11 @@ def _transient_runs(target, at_ns, n_bursts, seed):
         injector = FaultInjector(seed=seed)
         injector.arm(FaultSpec("bus_transient", target, at_ns=float(at_ns), n_bursts=n_bursts))
         injector.attach(rig.sim, rig_design(rig), RIG_INFO)
-        with _closed_form_off(mode):
-            access(rig, 0, 1, 0, 1)
-        seen, advances, closed = _fingerprint(rig.sim)
+        access(rig, 0, 1, 0, 1)
+        seen, *books = _fingerprint(rig.sim)
         seen["corrupted"] = [rig.drcf.loaded_corrupted(name) for name in ("s0", "s1")]
         seen["events"] = injector.events
-        runs[mode] = (seen, advances, closed)
+        runs[mode] = (seen, *books)
         if mode == "closed":
             declines = rig.bus.closed_form_declines
     return runs, declines
@@ -500,7 +474,7 @@ class TestTrainEdges:
     @settings(deadline=None)
     def test_running_into_until(self, protocol, burst, count, until_ns):
         """``until`` cuts the train: the closed form books only the bursts
-        that end by then, and the run stops where the per-phase path stops."""
+        that end by then, and the run stops where the round trip stops."""
         assume(count > burst)
         runs, _ = _train_runs(protocol, 0, count, burst, until=ns(until_ns))
         _assert_equivalent(runs)
@@ -510,8 +484,8 @@ class TestTrainEdges:
     def test_crossing_watchdog_check_points(self, protocol, burst, n_bursts, pre_waits):
         """With the watchdog armed, the kernel checks the wall clock every
         256 process executions and timed activations.  The closed form
-        stops short of each check, and the per-phase loop leaves the wait
-        that is due for one to the kernel."""
+        stops short of each check, and the burst it declines there waits
+        out its phases through the kernel."""
         runs, declines = _train_runs(
             protocol, 0, n_bursts * burst, burst, pre_waits=pre_waits, max_wall_s=600.0
         )
@@ -551,7 +525,7 @@ class TestTrainEdges:
         """A ``bus_transient`` fault arms the memory's read filter: the
         closed form declines (``read_filter``) until the fault's bursts are
         spent, possibly in mid-train, and the same bursts get the same
-        flipped bits on every path."""
+        flipped bits on both paths."""
         runs, _ = _transient_runs(target, at_ns, n_bursts, seed)
         _assert_equivalent(runs, engaged=False)
 

@@ -15,7 +15,7 @@ from repro.apps import (
 )
 from repro.apps.driver import run_accelerator_job
 from repro.bus import DmaController, InterruptController
-from repro.core import ContextPrefetcher, SequencePredictor
+from repro.core import ContextPrefetcher, RecoveryPolicy, SequencePredictor
 from repro.cpu import TrafficGenerator
 from repro.kernel import Simulator, VcdTracer
 from repro.tech import MORPHOSYS, VARICORE
@@ -34,7 +34,7 @@ def run_system(inject_error: bool):
     # Enable cache + verification on fabric A.
     spec = netlist.component("fab_a")
     spec.kwargs["config_cache_bytes"] = 1 << 16
-    spec.kwargs["verify_config"] = True
+    spec.kwargs["recovery"] = RecoveryPolicy(verify=True)
 
     sim = Simulator()
     design = netlist.elaborate(sim)

@@ -1,9 +1,9 @@
-"""``Simulator.alone_until`` / ``advance_alone``: the burst-train fast path.
+"""``Simulator.alone_horizon`` / ``book_alone``: waiting in place, the
+kernel half of closed-form burst trains.
 
-Each case runs a thread that asks to advance in place; the predicate must
-refuse whenever anything else could run or observe the kernel before the
-wake, and an accepted advance must leave the books exactly as the kernel
-round trip (``yield delay``) would.
+The horizon must be None whenever anything else could run or observe the
+kernel before the running thread's next wake, and a booking must leave
+the books exactly as the kernel round trips (``yield delay``) would.
 """
 
 import pytest
@@ -11,135 +11,127 @@ import pytest
 from repro.kernel import Event, MethodProcess, SchedulingError, Signal, Simulator, ns
 
 
-def _probe(sim, setup=None, delay=ns(10)):
-    """Spawn a thread that runs ``setup()`` then tries to advance by ``delay``."""
-    outcome = {}
+def _probe(sim, setup=None):
+    """Spawn a thread that runs ``setup()``, then records ``alone_horizon()``."""
+    seen = []
 
     def body():
         if setup is not None:
             setup()
-        outcome["advanced"] = sim.advance_alone(delay)
-        outcome["now"] = sim.now
+        seen.append(sim.alone_horizon())
         yield ns(1)
 
     sim.spawn("probe", body)
-    return outcome
+    return seen
+
+
+def _horizon(sim, setup=None, **run_kwargs):
+    """The probe's horizon in a run of ``sim`` with ``run_kwargs``."""
+    seen = _probe(sim, setup)
+    sim.run(**run_kwargs)
+    return seen[0]
+
+
+#: A wake 10 ns after the probe asks.
+WAKE_FS = ns(10).femtoseconds
 
 
 class TestPredicate:
+    """When a thread may wait in place at all, and how far."""
+
     def test_alone_process_advances(self, sim):
-        outcome = _probe(sim)
+        outcome = {}
+
+        def body():
+            outcome["horizon"] = sim.alone_horizon()
+            sim.book_alone(1, WAKE_FS)
+            outcome["now"] = sim.now
+            yield ns(1)
+
+        sim.spawn("probe", body)
         sim.run()
-        assert outcome == {"advanced": True, "now": ns(10)}
+        assert outcome == {"horizon": (None, None), "now": ns(10)}
+        assert sim.now == ns(11)
         assert sim.stats.in_place_advances == 1
 
     def test_false_outside_a_thread_execution(self, sim):
-        assert not sim.alone_until(0)  # no process is running
+        assert sim.alone_horizon() is None  # no process is running
         seen = []
-        method = MethodProcess(sim, "m", lambda: seen.append(sim.alone_until(10)))
+        method = MethodProcess(sim, "m", lambda: seen.append(sim.alone_horizon()))
         sim.register_process(method)
         sim.run()
-        assert seen == [False]  # methods cannot wait
+        assert seen == [None]  # methods cannot wait
 
     def test_refused_when_another_process_is_runnable(self, sim):
-        outcome = _probe(sim)
+        seen = _probe(sim)
         sim.spawn("other", lambda: (yield ns(50)))  # still runnable when the probe asks
         sim.run()
-        assert outcome["advanced"] is False
-        assert outcome["now"] == ns(0)
+        assert seen == [None]
 
     def test_refused_with_pending_update(self, sim):
         sig = Signal(sim, 0, name="s")
-        outcome = _probe(sim, lambda: sig.write(1))
-        sim.run()
-        assert outcome["advanced"] is False
+        assert _horizon(sim, lambda: sig.write(1)) is None
 
     def test_refused_with_pending_delta_notification(self, sim):
         ev = Event(sim, "e")
-        outcome = _probe(sim, ev.notify_delta)
-        sim.run()
-        assert outcome["advanced"] is False
+        assert _horizon(sim, ev.notify_delta) is None
 
     def test_refused_with_trace_hook(self, sim):
         sim.trace_hooks.append(lambda now: None)
-        outcome = _probe(sim)
-        sim.run()
-        assert outcome["advanced"] is False
+        assert _horizon(sim) is None
 
-    @pytest.mark.parametrize("at, advanced", [(ns(5), False), (ns(10), False), (ns(11), True)])
-    def test_timed_action_at_or_before_wake(self, sim, at, advanced):
+    @pytest.mark.parametrize("at, fits", [(ns(5), False), (ns(10), False), (ns(11), True)])
+    def test_timed_action_at_or_before_wake(self, sim, at, fits):
+        """A wake fits the horizon only strictly before the next timed action."""
         ev = Event(sim, "e")
-        outcome = _probe(sim, lambda: ev.notify(at))
-        sim.run()
-        assert outcome["advanced"] is advanced
+        last_wake_fs, _ = _horizon(sim, lambda: ev.notify(at))
+        assert (WAKE_FS <= last_wake_fs) is fits
 
     def test_cancelled_timed_actions_do_not_block(self, sim):
-        ev = Event(sim, "e")
+        """Cancelled actions at the front of the queue are discarded on the
+        way to the next live one."""
+        early, late = Event(sim, "early"), Event(sim, "late")
+        seen = []
 
-        def setup():
-            ev.notify(ns(5))
-            ev.cancel()
+        def body():
+            early.notify(ns(5))
+            early.cancel()
+            late.notify(ns(50))
+            seen.append((len(sim._timed_heap), sim.alone_horizon(), len(sim._timed_heap)))
+            yield ns(1)
 
-        outcome = _probe(sim, setup)
+        sim.spawn("probe", body)
         sim.run()
-        assert outcome["advanced"] is True
-        assert sim.pending_timed_count() == 0
+        assert seen == [(2, (ns(50).femtoseconds - 1, None), 1)]
 
-    @pytest.mark.parametrize("until, advanced", [(ns(9), False), (ns(10), True)])
-    def test_wake_must_be_within_until(self, sim, until, advanced):
-        outcome = _probe(sim)
-        sim.run(until=until)
-        assert outcome["advanced"] is advanced
+    @pytest.mark.parametrize("until, fits", [(ns(9), False), (ns(10), True)])
+    def test_wake_must_be_within_until(self, sim, until, fits):
+        last_wake_fs, _ = _horizon(sim, until=until)
+        assert (WAKE_FS <= last_wake_fs) is fits
 
     def test_refused_after_stop_request(self, sim):
-        outcome = _probe(sim, sim.stop)
-        sim.run()
-        assert outcome["advanced"] is False
+        assert _horizon(sim, sim.stop) is None
 
     def test_refused_when_watchdog_check_is_due(self, sim):
         # The first execution leaves process_executions at 1, but no timed
         # activation has happened yet: the timed-phase check (count 0) is due.
-        outcome = _probe(sim)
-        sim.run(max_wall_s=60.0)
-        assert outcome["advanced"] is False
-
-    def test_negative_delay_goes_through_the_kernel(self, sim):
-        def body():
-            assert not sim.alone_until(-1)
-            yield ns(1)
-
-        sim.spawn("p", body)
-        sim.run()
+        assert _horizon(sim, max_wall_s=60.0) == (None, 0)
 
 
 class TestHorizon:
     """``alone_horizon``: how far the running thread may wait in place."""
 
-    @staticmethod
-    def _horizon(sim, setup=None, **run_kwargs):
-        seen = []
-
-        def body():
-            if setup is not None:
-                setup()
-            seen.append(sim.alone_horizon())
-            yield ns(1)
-
-        sim.spawn("probe", body)
-        sim.run(**run_kwargs)
-        return seen[0]
-
     def test_unbounded(self, sim):
-        assert self._horizon(sim) == (None, None)
+        assert _horizon(sim) == (None, None)
 
     def test_before_the_next_live_timed_action_and_until(self, sim):
         ev = Event(sim, "e")
         one_fs_before = ns(50).femtoseconds - 1
-        assert self._horizon(sim, lambda: ev.notify(ns(50))) == (one_fs_before, None)
-        assert self._horizon(Simulator(), until=ns(30)) == (ns(30).femtoseconds, None)
+        assert _horizon(sim, lambda: ev.notify(ns(50))) == (one_fs_before, None)
+        assert _horizon(Simulator(), until=ns(30)) == (ns(30).femtoseconds, None)
 
     def test_none_when_not_alone(self, sim):
-        assert self._horizon(sim, lambda: sim.spawn("other", lambda: (yield ns(5)))) is None
+        assert _horizon(sim, lambda: sim.spawn("other", lambda: (yield ns(5)))) is None
 
     @pytest.mark.parametrize(
         "executions, activations, waits",
@@ -150,7 +142,7 @@ class TestHorizon:
             sim.stats.process_executions = executions
             sim.stats.timed_activations = activations
 
-        assert self._horizon(sim, setup, max_wall_s=60.0) == (None, waits)
+        assert _horizon(sim, setup, max_wall_s=60.0) == (None, waits)
 
     def test_book_alone_books_each_round_trip(self):
         sims = {}
@@ -186,17 +178,24 @@ def test_simulator_keeps_a_compact_attribute_table():
 
 
 class TestBooks:
-    """An accepted advance records what the round trip would have."""
+    """A booking records what the round trip would have."""
 
     @staticmethod
-    def _run(in_place):
+    def _wait_10ns(sim, in_place):
+        """Wait 10 ns, booked in place or as a kernel round trip."""
+        if in_place:
+            assert sim.alone_horizon() == (None, None)  # alone, unbounded
+            sim.book_alone(1, sim.now.femtoseconds + WAKE_FS)
+        else:
+            yield ns(10)
+
+    def _run(self, in_place):
         sim = Simulator()
         log = []
 
         def body():
             for _ in range(3):
-                if not (in_place and sim.advance_alone(ns(10))):
-                    yield ns(10)
+                yield from self._wait_10ns(sim, in_place)
                 log.append(sim.now)
 
         sim.spawn("p", body)
@@ -230,8 +229,7 @@ class TestBooks:
 
         def body():
             yield from churn()
-            if not (in_place and sim.advance_alone(ns(10))):
-                yield ns(10)
+            yield from self._wait_10ns(sim, in_place)
             yield from churn()
 
         sim.spawn("p", body)
@@ -243,7 +241,7 @@ class TestBooks:
         ev = Event(sim, "e")
 
         def body():
-            assert sim.advance_alone(ns(10))
+            yield from self._wait_10ns(sim, True)
             for _ in range(11):
                 ev.notify_delta()
                 yield ev

@@ -8,10 +8,9 @@
 #      (packed Viterbi/XTEA/FFT against their loop references) again under
 #      the `ci` hypothesis profile, which draws many more examples
 #   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails)
-#      plus the scheduler golden-trace tests, the burst-train three-way
-#      differential tests (closed form, per-phase in-place advance, kernel
-#      round trip) and the monitor train-record property test, under the
-#      `ci` hypothesis profile
+#      plus the scheduler golden-trace tests, the burst-train differential
+#      tests (closed form against kernel round trip) and the monitor
+#      train-record property test, under the `ci` hypothesis profile
 #   3. ruff check (skipped with a notice when ruff is not installed)
 #   4. static model lint over every example architecture, including the
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
