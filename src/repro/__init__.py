@@ -9,7 +9,7 @@ Package map
 ``repro.bus``
     Arbitrated shared bus, memories, DMA, traffic monitor.
 ``repro.cpu``
-    Processor model, software task graphs, traffic generators.
+    Processor model, software tasks, traffic generators.
 ``repro.core``
     The paper's contribution: the DRCF component, context scheduler,
     automatic model transformation, codegen, and the future-work

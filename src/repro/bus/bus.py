@@ -52,6 +52,7 @@ from .interfaces import (
     BusSlaveIf,
     Transaction,
     check_range,
+    check_timing,
     normalize_write_data,
 )
 from .memory import Memory
@@ -106,9 +107,20 @@ class Bus(Module, BusMasterIf):
     ) -> None:
         super().__init__(name, parent=parent, sim=sim)
         if protocol not in PROTOCOLS:
-            raise ValueError(f"unknown bus protocol {protocol!r}; expected one of {PROTOCOLS}")
+            raise ValueError(
+                f"{self.full_name}: unknown bus protocol {protocol!r}; expected one of {PROTOCOLS}"
+            )
         if data_width_bits <= 0 or data_width_bits % 8:
-            raise ValueError("data_width_bits must be a positive multiple of 8")
+            raise ValueError(
+                f"{self.full_name}: data_width_bits must be a positive multiple of 8, "
+                f"not {data_width_bits}"
+            )
+        check_timing(
+            self.full_name,
+            clock_freq_hz,
+            address_phase_cycles=address_phase_cycles,
+            cycles_per_word=cycles_per_word,
+        )
         self.clock_freq_hz = clock_freq_hz
         self.data_width_bits = data_width_bits
         self.address_phase_cycles = address_phase_cycles

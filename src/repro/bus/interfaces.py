@@ -139,3 +139,14 @@ def check_range(name: str, low: int, high: int) -> None:
     """Validate a slave's advertised address range."""
     if low < 0 or high < low:
         raise ValueError(f"slave {name}: invalid address range [{low:#x}, {high:#x}]")
+
+
+def check_timing(name: str, clock_freq_hz: float, **cycle_counts: int) -> None:
+    """Validate a component's clock and cycle counts at construction, so a
+    bad value fails there, naming the component, and not at its first
+    transfer."""
+    if not clock_freq_hz > 0:
+        raise ValueError(f"{name}: clock_freq_hz must be positive, not {clock_freq_hz}")
+    for parameter, value in cycle_counts.items():
+        if value < 0:
+            raise ValueError(f"{name}: {parameter} must be non-negative, not {value}")

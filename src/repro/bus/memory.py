@@ -18,21 +18,19 @@ burst and returns its first-access-plus-streaming time, and
 ``_read_sample`` takes the words (through the fault hook) once that time
 has passed.  :meth:`Memory.read` is those two steps around one wait, and
 the bus's transfer loop (:mod:`repro.bus.bus`) drives the same two steps
-itself, so a read over the bus builds no memory generator.  A subclass
-changes what a read returns by overriding ``_read_sample``, as
-:class:`ConfigMemory` does, not ``read``.  A closed-form burst train
-samples all its bursts as one slice (``_read_slice``) instead, but only
-while ``_read_filter_idle`` says the sampling step would return them as
-stored: no fault hook, or one whose predicate promises to pass them
-unchanged, and (for :class:`ConfigMemory`) no pending transient error.
+itself, so a read over the bus builds no memory generator.  A
+closed-form burst train samples all its bursts as one slice
+(``_read_slice``) instead, but only while ``_read_filter_idle`` says the
+sampling step would return them as stored: no fault hook, or one whose
+predicate promises to pass them unchanged.
 
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
 region can be asserted against in tests.  Its integrity verdict
 (:meth:`ConfigMemory.region_is_clean`) is memoized per region against the
 write generation, so a region is re-hashed only after the store changed,
-and a region no write ever touched hashes in closed form.  Transient
-errors hit every burst that overlaps a region
+and a region no write ever touched hashes in closed form.  A fault hook's
+transient read errors hit every burst that overlaps a region
 (:meth:`ConfigMemory.context_for_burst`).
 """
 
@@ -41,7 +39,7 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
-from .interfaces import BusSlaveIf, normalize_write_data
+from .interfaces import BusSlaveIf, check_timing, normalize_write_data
 
 #: FNV-1a offset/prime (32-bit) for bitstream checksums.
 _FNV_OFFSET = 0x811C9DC5
@@ -93,7 +91,8 @@ class Memory(Module, BusSlaveIf):
     Parameters
     ----------
     base, size_words:
-        Decoded address range is ``[base, base + size_words*word_bytes)``.
+        Decoded address range is ``[base, base + size_words*word_bytes)``;
+        ``base`` must be a multiple of ``word_bytes``.
     word_bytes:
         Addressing granularity (must match the bus word for simple systems).
     latency_cycles:
@@ -131,7 +130,22 @@ class Memory(Module, BusSlaveIf):
     ) -> None:
         super().__init__(name, parent=parent, sim=sim)
         if size_words <= 0:
-            raise ValueError("memory size must be positive")
+            raise ValueError(
+                f"{self.full_name}: memory size must be positive, not size_words={size_words}"
+            )
+        if word_bytes <= 0:
+            raise ValueError(f"{self.full_name}: word_bytes must be positive, not {word_bytes}")
+        if base % word_bytes:
+            raise ValueError(
+                f"{self.full_name}: base {base:#x} is not a multiple of word_bytes={word_bytes}, "
+                "so no word could be reached"
+            )
+        check_timing(
+            self.full_name,
+            clock_freq_hz,
+            latency_cycles=latency_cycles,
+            cycles_per_word=cycles_per_word,
+        )
         self.base = base
         self.size_words = size_words
         self.word_bytes = word_bytes
@@ -196,8 +210,7 @@ class Memory(Module, BusSlaveIf):
         ``passes_reads_unchanged(memory, addr, count)`` promises that
         ``on_memory_read`` returns each such burst unchanged, with no
         random draw and no log entry; a hook without that predicate keeps
-        every burst on the sampling path.  A subclass that overrides
-        ``_read_sample`` narrows this too.
+        every burst on the sampling path.
         """
         hook = self.fault_hook
         if hook is None:
@@ -283,22 +296,23 @@ class ConfigMemory(Memory):
 
     For integrity modeling (fine-grain devices CRC-check each configuration
     frame), each region records a checksum of its content at registration
-    time, and :meth:`inject_transient_error` corrupts exactly the next read
-    touching the region — the failure-injection hook behind the DRCF's
-    verify-and-refetch option.
+    time; :meth:`corrupt_region` models persistent upsets of the stored
+    bitstream and :meth:`scrub_region` repairs them from the golden image.
+    Transient read errors come from a :class:`Memory` fault hook, which
+    finds the region a burst touches with :meth:`context_for_burst`.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._regions: Dict[str, Tuple[int, int]] = {}
         self._checksums: Dict[str, int] = {}
-        self._transient_errors: Dict[str, int] = {}
         #: Golden image of each region at registration time, for scrubbing
         #: repairs: copies of the pages that existed then (page number ->
         #: words); a page absent here held only fill words.
         self._golden: Dict[str, Dict[int, List[int]]] = {}
         #: Memoized :meth:`region_is_clean` verdict: (generation, clean).
         self._verdicts: Dict[str, Tuple[int, bool]] = {}
+        #: Bits flipped by :meth:`corrupt_region`.
         self.injected_errors = 0
 
     def register_context_region(self, context_name: str, addr: int, size_bytes: int) -> None:
@@ -347,22 +361,6 @@ class ConfigMemory(Memory):
     def checksum_of(self, context_name: str) -> int:
         """The checksum recorded for the region at registration time."""
         return self._checksums[context_name]
-
-    def inject_transient_error(self, context_name: str, n_bursts: int = 1) -> None:
-        """Corrupt the next ``n_bursts`` burst reads touching the region.
-
-        Models a transient configuration-memory/bus error: each affected
-        burst (see :meth:`context_for_burst`) returns one flipped bit, in
-        its first word inside the region; later bursts are clean again, so
-        a whole-bitstream fetch containing a corrupted burst fails its
-        checksum once and succeeds on refetch.
-        """
-        self._known_region(context_name)
-        if n_bursts <= 0:
-            raise ValueError("n_bursts must be positive")
-        self._transient_errors[context_name] = (
-            self._transient_errors.get(context_name, 0) + n_bursts
-        )
 
     def corrupt_region(self, context_name: str, bit_indices: Sequence[int]) -> None:
         """Flip the given absolute bit positions inside a context region.
@@ -423,24 +421,10 @@ class ConfigMemory(Memory):
             self._verdicts[context_name] = (self.generation, clean)
         return clean
 
-    #: Memory's read; only the sample step differs (transient errors).
+    # Memory.read bound again in this class: its only reader is
+    # perfbench/spans.py, which looks up each method it wraps in the
+    # class's own ``__dict__``.
     read = Memory.read
-
-    def _read_sample(self, addr: int, index: int, count: int) -> List[int]:
-        data = super()._read_sample(addr, index, count)
-        if not self._transient_errors:
-            return data
-        region = self.context_for_burst(addr, count)
-        if region is not None and self._transient_errors.get(region, 0) > 0:
-            self._transient_errors[region] -= 1
-            self.injected_errors += 1
-            data = list(data)
-            # A single flipped bit in the burst's first word in the region.
-            data[max(0, (self._regions[region][0] - addr) // self.word_bytes)] ^= 0x1
-        return data
-
-    def _read_filter_idle(self, addr: int, count: int) -> bool:
-        return not any(self._transient_errors.values()) and super()._read_filter_idle(addr, count)
 
     def context_for_address(self, addr: int) -> Optional[str]:
         """Which registered region (if any) contains ``addr``."""

@@ -51,7 +51,6 @@ from .prefetch import (
     ContextPrefetcher,
     MarkovPredictor,
     NextContextPredictor,
-    RoundRobinPredictor,
     SequencePredictor,
 )
 from .scheduler import ContextScheduler, SwitchRequest
@@ -102,7 +101,6 @@ __all__ = [
     "RandomPolicy",
     "Ref8Drcf",
     "ReplacementPolicy",
-    "RoundRobinPredictor",
     "SequencePredictor",
     "Slot",
     "SlotManager",

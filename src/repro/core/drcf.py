@@ -199,11 +199,16 @@ class Drcf(Module, BusSlaveIf):
     def _scrub_loop(self):
         """Background configuration scrubbing (recovery policy).
 
-        Periodically reads every context region back over the memory bus
-        (real, tagged traffic — the cost of scrubbing is visible) and
-        repairs regions whose content no longer matches the registered
-        golden checksum.  Repair requires the transformation to have set
-        :attr:`config_memory`; without it, scrubbing only detects.
+        Every ``scrub_interval``, for each context with a registered
+        checksum, reads one burst of ``min(region words,
+        config_burst_words)`` words from the start of its region over the
+        memory bus: real, tagged traffic that stands for the cost of a
+        scrub pass, not a read of the whole region.  The integrity verdict
+        takes no simulated time: :meth:`ConfigMemory.region_is_clean`
+        decides it, and :meth:`ConfigMemory.scrub_region` restores a dirty
+        region from its golden image.  Both need :attr:`config_memory`
+        (set by the transformation); without it the loop neither detects
+        nor repairs, and only makes the traffic.
         """
         while True:
             interval = self.recovery.scrub_interval

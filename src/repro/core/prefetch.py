@@ -10,8 +10,8 @@ after every foreground switch, asks a :class:`NextContextPredictor` for the
 likely next context and queues a background load of it.  Predictors:
 
 * :class:`SequencePredictor` — the application's known static schedule
-  (the common case in the paper's framed wireless workloads);
-* :class:`RoundRobinPredictor` — cycle through all contexts;
+  (the common case in the paper's framed wireless workloads), or, given
+  every context name, a round robin over all contexts;
 * :class:`MarkovPredictor` — most frequent observed successor of the
   current context (learned online).
 
@@ -53,24 +53,6 @@ class SequencePredictor(NextContextPredictor):
         except ValueError:
             return self.schedule[0]
         return self.schedule[(index + 1) % len(self.schedule)]
-
-
-class RoundRobinPredictor(NextContextPredictor):
-    """Cycles through the context names in a fixed order."""
-
-    def __init__(self, context_names: Sequence[str]) -> None:
-        if not context_names:
-            raise ValueError("need at least one context name")
-        self.names = list(context_names)
-
-    def predict(self, history: Sequence[str]) -> Optional[str]:
-        if not history:
-            return self.names[0]
-        try:
-            index = self.names.index(history[-1])
-        except ValueError:
-            return self.names[0]
-        return self.names[(index + 1) % len(self.names)]
 
 
 class MarkovPredictor(NextContextPredictor):

@@ -12,8 +12,10 @@ and instrumented in its stats:
   ``max_retries`` extra times, waiting ``backoff * backoff_factor**k``
   before attempt ``k`` so a transient can clear;
 * **configuration scrubbing** — a background process periodically reads
-  every context region back over the bus and repairs corrupted
-  configuration memory from the golden image (Xilinx SEU scrubbing);
+  one burst of every context region over the bus (the traffic a scrub
+  pass costs), checks each region's integrity in zero time and repairs
+  corrupted configuration memory from the golden image (Xilinx SEU
+  scrubbing);
 * **fetch timeout** — abort a wedged configuration transfer after a bound
   instead of hanging the fabric forever (watchdog on the config port);
 * **fall back to resident** — when retries are exhausted, accept the

@@ -90,7 +90,6 @@ class ContextScheduler:
         self.word_bytes = word_bytes
         self.active: Optional[Context] = None
         self._requests: Fifo = Fifo(sim, capacity=None, name=f"{name}.requests")
-        self._engine_busy = False
         #: Fires (delta) after every completed foreground switch; the
         #: prefetcher listens here.
         self.switch_completed = Event(sim, f"{name}.switch_completed")
@@ -99,11 +98,6 @@ class ContextScheduler:
         #: Callbacks ``listener(context_name)`` run on each foreground
         #: switch (e.g. the DRCF's traceable active-context signal).
         self.switch_listeners: List[Callable[[str], None]] = []
-        #: Fault-injector hook surface (repro.faults): when set, its
-        #: ``on_switch_begin(scheduler_name, context_name, now)`` is called
-        #: as each foreground switch starts, so armed faults can key off the
-        #: context schedule.  ``None`` (the default) costs one test.
-        self.fault_hook = None
         sim.spawn(f"{name}.arb_and_instr", self._arb_and_instr, daemon=True)
 
     # -- public API (called from DRCF interface methods) ----------------------
@@ -159,14 +153,12 @@ class ContextScheduler:
     def _arb_and_instr(self):
         while True:
             request = yield from self._requests.get()
-            self._engine_busy = True
             try:
                 if request.prefetch:
                     yield from self._do_prefetch(request.context)
                 else:
                     yield from self._do_switch(request.context)
             finally:
-                self._engine_busy = False
                 request.done.notify()
 
     def _do_switch(self, context: Context):
@@ -178,8 +170,6 @@ class ContextScheduler:
         # wait for the outgoing module to go idle (busy/idle_event protocol,
         # honoured by the accelerator models).
         yield from self._drain_active()
-        if self.fault_hook is not None:
-            self.fault_hook.on_switch_begin(self.name, context.name, self.sim.now)
         start = self.sim.now
         slot = self.slots.slot_of(context)
         fetched = False
@@ -264,8 +254,3 @@ class ContextScheduler:
     def resident_context_names(self) -> List[str]:
         """Names of contexts currently resident on the fabric."""
         return [c.name for c in self.slots.resident_contexts()]
-
-    @property
-    def pending_switches(self) -> int:
-        """Queued, not yet completed switch/prefetch requests."""
-        return len(self._requests)

@@ -1,20 +1,15 @@
 """Processor and software-task substrate.
 
 A :class:`Processor` is a bus master executing generator-based software
-tasks; :class:`TaskGraph`/:class:`TaskGraphExecutor` run dependency DAGs of
-tasks and produce the profiling data the partitioning phase consumes;
-:class:`TrafficGenerator` produces reproducible background bus load.
+tasks; :class:`TrafficGenerator` produces reproducible background bus
+load.
 """
 
 from .processor import Processor, Task
-from .tasks import TaskGraph, TaskGraphExecutor, TaskNode
 from .trafficgen import TrafficGenerator
 
 __all__ = [
     "Processor",
     "Task",
-    "TaskGraph",
-    "TaskGraphExecutor",
-    "TaskNode",
     "TrafficGenerator",
 ]

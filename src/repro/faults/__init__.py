@@ -3,12 +3,11 @@
 The paper models reconfiguration as always succeeding; this layer asks
 what happens when it does not.  Four seeded, reproducible fault models
 (:mod:`models`) perturb the configuration path through non-invasive hooks
-on the memory, the DRCF fetch engine and the context scheduler
-(:mod:`injector`); the DRCF's recovery policies
-(:mod:`repro.core.recovery`) fight back; and the campaign engine
-(:mod:`campaign`) runs seeded trial grids, classifying every trial as
-masked / recovered / sdc / hang and reporting dependability metrics
-(coverage, MTTR, recovery overhead).
+on the memory and the DRCF fetch engine (:mod:`injector`); the DRCF's
+recovery policies (:mod:`repro.core.recovery`) fight back; and the
+campaign engine (:mod:`campaign`) runs seeded trial grids, classifying
+every trial as masked / recovered / sdc / hang and reporting
+dependability metrics (coverage, MTTR, recovery overhead).
 
 Everything is opt-in: with no injector attached the simulation pays a
 single ``is None`` test per hook site.

@@ -2,7 +2,7 @@
 implements the hook surface the core layer exposes for them.
 
 Injection is **non-invasive**: the injector attaches to an elaborated
-design by setting three hook attributes —
+design by setting two hook attributes —
 
 * ``Drcf.fault_hook`` → :meth:`FaultInjector.fetch_delay` (stuck ports)
   and :meth:`FaultInjector.filter_bitstream` (truncated transfers) act on
@@ -11,8 +11,6 @@ design by setting three hook attributes —
   burst reads in flight (transient bus errors), and
   :meth:`FaultInjector.passes_reads_unchanged` tells the memory when it
   has nothing left to corrupt;
-* ``ContextScheduler.fault_hook`` → :meth:`FaultInjector.on_switch_begin`
-  observes the context schedule (event log / time-window triggers);
 
 plus one daemon process that pokes timed configuration-memory upsets
 (``bitflip``) at their injection instants.  Nothing in the design is
@@ -51,8 +49,6 @@ class FaultInjector:
         self.specs: List[FaultSpec] = []
         #: ``(sim_ns, description)`` log of every fault actually applied.
         self.events: List[tuple] = []
-        #: Foreground context switches observed ``(sim_ns, context)``.
-        self.switch_log: List[tuple] = []
         self._sim = None
         self._memory = None
         #: One-shot consumption state: spec index -> remaining applications.
@@ -71,7 +67,7 @@ class FaultInjector:
     def attach(self, sim, design, info) -> None:
         """Hook an elaborated design (SoC template ``info`` address map).
 
-        Sets the three fault-hook attributes and spawns the timed-upset
+        Sets the two fault-hook attributes and spawns the timed-upset
         daemon when any ``bitflip`` is armed.  Safe to call with no specs
         armed (the hooks then never fire).
         """
@@ -90,7 +86,6 @@ class FaultInjector:
                     f"contexts: {sorted(known)}"
                 )
         drcf.fault_hook = self
-        drcf.scheduler.fault_hook = self
         memory.fault_hook = self
         if any(spec.kind == "bitflip" for spec in self.specs):
             sim.spawn("fault_injector.timed", self._timed_upsets, daemon=True)
@@ -214,11 +209,6 @@ class FaultInjector:
             spec.kind == "bus_transient" and self._remaining.get(index, 0) > 0
             for index, spec in enumerate(self.specs)
         )
-
-    # -- ContextScheduler.fault_hook ------------------------------------------------
-    def on_switch_begin(self, scheduler_name: str, context_name: str, now) -> None:
-        """Observe foreground switches (audit trail / time-window triggers)."""
-        self.switch_log.append((now.to_ns(), context_name))
 
     # -- introspection ------------------------------------------------------------
     @property

@@ -119,7 +119,6 @@ class Mutex:
         self._locked = False
         #: Name of the owning process/agent (caller-supplied label).
         self.owner: Optional[str] = None
-        self._released = Event(sim, f"{name}.released")
         self._wait_queue: List[_MutexWaiter] = []
         self._seq = 0
         self.contention_count = 0
@@ -176,7 +175,6 @@ class Mutex:
             return
         self._locked = False
         self.owner = None
-        self._released.notify()  # observers (deadlock probes) see the release
 
 
 class Semaphore:

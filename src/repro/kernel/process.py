@@ -285,7 +285,6 @@ class Process:
         self._wait_spec = None
         for event in self.static_sensitivity:
             event._remove_static(self)
-        self.sim._process_terminated(self)
         self.terminated_event.notify_delta()
 
     def __repr__(self) -> str:

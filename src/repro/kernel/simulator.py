@@ -272,10 +272,6 @@ class Simulator:
         else:
             self._enqueue_update(channel)
 
-    def _process_terminated(self, process: Process) -> None:
-        # Kept in the list for post-mortem inspection; nothing to do here.
-        pass
-
     # -- running --------------------------------------------------------------
     def initialize(self) -> None:
         """Run end-of-elaboration hooks and make all processes runnable."""

@@ -1,10 +1,12 @@
 """The shared bus: decode, timing, protocols, contention, monitor hookup."""
 
+import re
+
 import pytest
 
 from repro.bus import Bus, Memory
 from repro.bus.interfaces import BusSlaveIf
-from repro.kernel import ZERO_TIME, ProcessError, SimulationError, Simulator, ns, us
+from repro.kernel import ZERO_TIME, Module, ProcessError, SimulationError, Simulator, ns, us
 from tests.conftest import drive
 
 
@@ -208,12 +210,29 @@ class TestSplitProtocol:
         assert box.value == [11, 22]
 
     def test_unknown_protocol_rejected(self, sim):
-        with pytest.raises(ValueError, match="unknown bus protocol"):
+        with pytest.raises(ValueError, match="^b: unknown bus protocol 'quantum'"):
             Bus("b", sim=sim, protocol="quantum")
 
     def test_invalid_width_rejected(self, sim):
-        with pytest.raises(ValueError, match="multiple of 8"):
+        with pytest.raises(ValueError, match="^b: .* multiple of 8, not 12$"):
             Bus("b", sim=sim, data_width_bits=12)
+
+
+class TestConstruction:
+    #: Parameter -> (a value the bus cannot time a transfer with, the error
+    #: after the bus's name).
+    UNRUNNABLE = {
+        "clock_freq_hz": (0, "clock_freq_hz must be positive, not 0"),
+        "cycles_per_word": (-1, "cycles_per_word must be non-negative, not -1"),
+        "address_phase_cycles": (-2, "address_phase_cycles must be non-negative, not -2"),
+    }
+
+    @pytest.mark.parametrize("parameter", list(UNRUNNABLE))
+    def test_unrunnable_parameter_fails_naming_the_bus(self, sim, parameter):
+        value, message = self.UNRUNNABLE[parameter]
+        top = Module("top", sim=sim)
+        with pytest.raises(ValueError, match=re.escape(f"top.b: {message}")):
+            Bus("b", parent=top, **{parameter: value})
 
 
 class TestMidArbitrationReconfiguration:

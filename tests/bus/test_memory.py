@@ -1,12 +1,13 @@
 """Memory models: latency, bounds, sparse backing, config regions."""
 
+import re
 from unittest import mock
 
 import pytest
 
 import repro.bus.memory as memory_mod
 from repro.bus import ConfigMemory, Memory, region_checksum
-from repro.kernel import SimulationError, ns
+from repro.kernel import Module, SimulationError, ns
 from tests.conftest import drive
 
 
@@ -78,8 +79,29 @@ class TestMemory:
         assert mem.read_word_count == 2
 
     def test_invalid_size(self, sim):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^m: memory size must be positive, not size_words=0$"):
             Memory("m", sim=sim, base=0, size_words=0)
+
+    #: Parameter -> (a value no access could run with, the error after the
+    #: memory's name).
+    UNRUNNABLE = {
+        "word_bytes": (0, "word_bytes must be positive, not 0"),
+        "base": (2, "base 0x2 is not a multiple of word_bytes=4"),
+        "latency_cycles": (-3, "latency_cycles must be non-negative, not -3"),
+        "cycles_per_word": (-1, "cycles_per_word must be non-negative, not -1"),
+        "clock_freq_hz": (0, "clock_freq_hz must be positive, not 0"),
+    }
+
+    @pytest.mark.parametrize("parameter", list(UNRUNNABLE))
+    def test_unrunnable_parameter_fails_naming_the_memory(self, sim, parameter):
+        value, message = self.UNRUNNABLE[parameter]
+        top = Module("top", sim=sim)
+        with pytest.raises(ValueError, match=re.escape(f"top.m: {message}")):
+            Memory("m", parent=top, **{parameter: value})
+
+    def test_zero_cycle_counts_and_an_aligned_base_are_accepted(self, sim):
+        mem = Memory("m", sim=sim, base=8, word_bytes=8, latency_cycles=0, cycles_per_word=0)
+        assert mem.get_low_add() == 8
 
     def test_sparse_backing_stays_small(self, sim):
         mem = Memory("m", sim=sim, base=0, size_words=1 << 24)
@@ -142,25 +164,6 @@ class TestConfigMemory:
         assert mem.context_for_burst(0x1FC, 8) == "a"  # its first word is in a
         assert mem.context_for_burst(0x200, 8) == "b"
 
-    def test_transient_error_hits_a_burst_straddling_the_region(self, sim):
-        """An 8-word read at 0xF0 covers 0x100..0x10C of region [0x100,
-        0x200): it takes the armed error, flipped in its first word inside
-        the region, and the next read is clean."""
-        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
-        mem.register_context_region("a", 0x100, 0x100)
-        mem.inject_transient_error("a")
-        assert not mem._read_filter_idle(0xF0, 8)
-        assert drain(mem.read(0xF0, 8)) == [0] * 4 + [1] + [0] * 3
-        assert mem.injected_errors == 1
-        assert mem._read_filter_idle(0xF0, 8)
-        assert drain(mem.read(0x100, 8)) == [0] * 8
-
-    def test_transient_error_on_a_burst_starting_in_the_region(self, sim):
-        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024)
-        mem.register_context_region("a", 0x100, 0x100)
-        mem.inject_transient_error("a")
-        assert drain(mem.read(0x1F8, 4)) == [1, 0, 0, 0]
-
 
 class TestRegionChecksumInClosedForm:
     """An unwritten region with a zero fill hashes without reading a word."""
@@ -192,12 +195,3 @@ class TestRegionChecksumInClosedForm:
         mem = ConfigMemory("cfg", sim=sim, base=0, size_words=16)
         with pytest.raises(SimulationError, match="unaligned"):
             mem.register_context_region("a", 0x2, 8)
-
-
-def drain(gen):
-    """Run a memory access generator to completion outside a simulation."""
-    try:
-        while True:
-            next(gen)
-    except StopIteration as stop:
-        return stop.value

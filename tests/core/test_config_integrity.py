@@ -4,8 +4,10 @@ import pytest
 
 from repro.bus import region_checksum
 from repro.core import RecoveryPolicy
-from repro.kernel import ProcessError, SimulationError
+from repro.faults import FaultInjector, FaultSpec
+from repro.kernel import ProcessError
 from tests.core.helpers import DrcfRig
+from tests.faults.helpers import RIG_INFO, rig_design
 
 
 def make_rig(verify=True, max_retries=2):
@@ -30,6 +32,15 @@ def access(rig, *indices):
     rig.sim.run()
 
 
+def corrupt_reads(rig, n_bursts=1):
+    """Flip one bit in each of the next ``n_bursts`` burst reads of s0's
+    region (a ``bus_transient`` fault armed from time 0)."""
+    injector = FaultInjector(seed=7)
+    injector.arm(FaultSpec("bus_transient", "s0", at_ns=0.0, n_bursts=n_bursts))
+    injector.attach(rig.sim, rig_design(rig), RIG_INFO)
+    return injector
+
+
 class TestChecksumHelpers:
     def test_region_checksum_deterministic_and_sensitive(self):
         words = [1, 2, 3, 4]
@@ -44,13 +55,6 @@ class TestChecksumHelpers:
         expected = region_checksum(rig.cfgmem.peek(base, words))
         assert rig.cfgmem.checksum_of("s0") == expected
 
-    def test_injection_validation(self):
-        rig = make_rig()
-        with pytest.raises(SimulationError, match="unknown context region"):
-            rig.cfgmem.inject_transient_error("ghost")
-        with pytest.raises(ValueError):
-            rig.cfgmem.inject_transient_error("s0", 0)
-
 
 class TestVerifiedFetch:
     def test_clean_fetch_passes_without_retries(self):
@@ -61,7 +65,7 @@ class TestVerifiedFetch:
 
     def test_transient_error_causes_one_refetch(self):
         rig = make_rig()
-        rig.cfgmem.inject_transient_error("s0")
+        injector = corrupt_reads(rig)
         access(rig, 0)
         stats = rig.drcf.stats
         assert stats.config_retries == 1
@@ -69,13 +73,13 @@ class TestVerifiedFetch:
         # The refetch doubled the configuration traffic on the bus.
         words = rig.drcf.contexts[0].params.config_words(4)
         assert rig.bus.monitor.words_by_tag("config") == 2 * words
-        assert rig.cfgmem.injected_errors == 1
+        assert len(injector.events) == 1
 
     def test_transient_error_costs_time_but_not_correctness(self):
         clean = make_rig()
         access(clean, 0)
         dirty = make_rig()
-        dirty.cfgmem.inject_transient_error("s0")
+        corrupt_reads(dirty)
 
         result = {}
 
@@ -91,7 +95,7 @@ class TestVerifiedFetch:
 
     def test_persistent_corruption_raises_after_retries(self):
         rig = make_rig()
-        rig.cfgmem.inject_transient_error("s0", n_bursts=50)  # every attempt fails
+        corrupt_reads(rig, n_bursts=50)  # every attempt fails
 
         def body():
             yield from rig.master_read(rig.addr(0))
@@ -105,7 +109,7 @@ class TestVerifiedFetch:
         """The fetch retries exactly ``max_retries`` times, counting
         each retry, before giving up on persistent corruption."""
         rig = make_rig(max_retries=max_retries)
-        rig.cfgmem.inject_transient_error("s0", n_bursts=100)
+        corrupt_reads(rig, n_bursts=100)
 
         def body():
             yield from rig.master_read(rig.addr(0))
@@ -127,14 +131,14 @@ class TestVerifiedFetch:
         # first three full fetch attempts.
         words = rig.drcf.contexts[0].params.config_words(4)
         bursts_per_fetch = -(-words // rig.drcf.config_burst_words)
-        rig.cfgmem.inject_transient_error("s0", n_bursts=3 * bursts_per_fetch)
+        corrupt_reads(rig, n_bursts=3 * bursts_per_fetch)
         access(rig, 0)
         assert rig.drcf.stats.config_retries == 3
         assert rig.drcf.stats.context("s0").fetch_retries == 3
 
     def test_unverified_drcf_ignores_corruption(self):
         rig = make_rig(verify=False)
-        rig.cfgmem.inject_transient_error("s0", n_bursts=50)
+        corrupt_reads(rig, n_bursts=50)
         access(rig, 0)  # completes: nothing checks the bitstream
         assert rig.drcf.stats.config_retries == 0
 

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     ContextPrefetcher,
     MarkovPredictor,
-    RoundRobinPredictor,
     SequencePredictor,
 )
 from tests.core.helpers import DrcfRig, small_tech
@@ -22,12 +21,6 @@ class TestPredictors:
     def test_sequence_rejects_empty(self):
         with pytest.raises(ValueError):
             SequencePredictor([])
-
-    def test_round_robin(self):
-        predictor = RoundRobinPredictor(["x", "y"])
-        assert predictor.predict([]) == "x"
-        assert predictor.predict(["x"]) == "y"
-        assert predictor.predict(["y"]) == "x"
 
     def test_markov_learns_successors(self):
         predictor = MarkovPredictor()

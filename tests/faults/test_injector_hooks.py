@@ -26,7 +26,6 @@ class TestDisarmedOverhead:
         rig = make_rig()
         assert rig.drcf.fault_hook is None
         assert rig.cfgmem.fault_hook is None
-        assert rig.drcf.scheduler.fault_hook is None
 
     def test_memory_hook_is_a_class_attribute(self):
         # The disarmed cost on the memory read path is one `is None` test;
@@ -137,14 +136,6 @@ class TestStuck:
         assert injector.pending == 0
         # No data harm: a stall delays, it does not corrupt.
         assert dirty.drcf.loaded_corrupted("s0") is False
-
-
-class TestObservation:
-    def test_switch_log_records_the_schedule(self):
-        rig = make_rig()
-        injector = attach(rig)
-        access(rig, 0, 1)
-        assert [name for _, name in injector.switch_log] == ["s0", "s1"]
 
 
 class TestErrorPaths:

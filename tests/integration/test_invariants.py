@@ -3,7 +3,7 @@ sequences (the core correctness arguments of the methodology)."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ContextPrefetcher, RoundRobinPredictor
+from repro.core import ContextPrefetcher, SequencePredictor
 from repro.kernel import ZERO_TIME
 from tests.core.helpers import DrcfRig, small_tech
 
@@ -117,7 +117,7 @@ class TestPrefetchInvariants:
                     "pf",
                     sim=rig.sim,
                     drcf=rig.drcf,
-                    predictor=RoundRobinPredictor([f"s{i}" for i in range(4)]),
+                    predictor=SequencePredictor([f"s{i}" for i in range(4)]),
                 )
             model = run_sequence(rig, accesses)
             return model, rig.drcf.stats

@@ -6,6 +6,8 @@ bus traffic, a transient configuration error, and waveform tracing — all
 simultaneously, with functional verification and bit-level determinism.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps import (
@@ -17,6 +19,7 @@ from repro.apps.driver import run_accelerator_job
 from repro.bus import DmaController, InterruptController
 from repro.core import ContextPrefetcher, RecoveryPolicy, SequencePredictor
 from repro.cpu import TrafficGenerator
+from repro.faults import FaultInjector, FaultSpec
 from repro.kernel import Simulator, VcdTracer
 from repro.tech import MORPHOSYS, VARICORE
 
@@ -25,9 +28,12 @@ GROUPS = {
     "fab_b": (("viterbi", "xtea"), VARICORE),
 }
 ALL = ("fir", "fft", "viterbi", "xtea")
+#: The address-map shim FaultInjector.attach reads: fabric A and the
+#: configuration memory.
+FAB_A = SimpleNamespace(drcf_name="fab_a", config_memory_name="cfgmem")
 
 
-def run_system(inject_error: bool):
+def run_system(injector=None):
     netlist, info = make_multi_fabric_netlist(GROUPS)
     netlist.add("irqc", InterruptController, slave_of="system_bus", base=0x3000_0000)
     netlist.add("dma", DmaController, master_of="system_bus")
@@ -58,8 +64,8 @@ def run_system(inject_error: bool):
     tracer.trace(design["fab_a"].active_context_signal, name="fab_a", width=8)
     tracer.trace(design["fab_b"].active_context_signal, name="fab_b", width=8)
 
-    if inject_error:
-        design["cfgmem"].inject_transient_error("fir")
+    if injector is not None:
+        injector.attach(sim, design, FAB_A)
 
     jobs = frame_interleaved_jobs(ALL, n_frames=2, seed=21)
     results = []
@@ -92,7 +98,7 @@ def run_system(inject_error: bool):
 class TestKitchenSink:
     @pytest.fixture(scope="class")
     def clean_run(self):
-        return run_system(inject_error=False)
+        return run_system()
 
     def test_all_outputs_golden(self, clean_run):
         _, _, results, jobs, _ = clean_run
@@ -112,19 +118,21 @@ class TestKitchenSink:
         assert tracer.change_count > 2
 
     def test_transient_config_error_recovered(self):
-        sim_clean, design_clean, results_clean, _, _ = run_system(False)
-        sim_err, design_err, results_err, _, _ = run_system(True)
+        injector = FaultInjector(seed=7)
+        injector.arm(FaultSpec("bus_transient", "fir", at_ns=0.0))
+        sim_clean, design_clean, results_clean, _, _ = run_system()
+        sim_err, design_err, results_err, _, _ = run_system(injector)
         # Same functional results despite the corrupted fetch...
         assert [out for _, out in results_clean] == [out for _, out in results_err]
         # ...because the verify-enabled fabric refetched once.
         assert design_err["fab_a"].stats.config_retries == 1
         assert design_clean["fab_a"].stats.config_retries == 0
-        assert design_err["cfgmem"].injected_errors == 1
+        assert len(injector.events) == 1
 
     def test_bit_level_determinism(self):
         runs = []
         for _ in range(2):
-            sim, design, results, _, _ = run_system(False)
+            sim, design, results, _, _ = run_system()
             runs.append(
                 (
                     sim.now,
