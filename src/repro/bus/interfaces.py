@@ -34,6 +34,25 @@ from ..kernel import Interface, SimTime
 class BusSlaveIf(Interface):
     """Interface implemented by every bus slave (and by the DRCF)."""
 
+    #: The slave's side of the bus's closed forms (docs/KERNEL.md,
+    #: "Closed-form trains"); None, the class default, declines them all.
+    #: A slave may define ``closed_read(addr, count, word_bytes)``.  It is
+    #: asked, while the reading master is alone on the timeline, about
+    #: reads that would start now of up to ``count`` words of
+    #: ``word_bytes`` bytes from ``addr`` on.  It returns None when such a
+    #: read could change the slave's state, or what it reads could change,
+    #: before the kernel's alone horizon.  Otherwise it returns
+    #: ``(access, words, book)``:
+    #:
+    #: * ``access(n)``: femtoseconds the slave takes to serve an ``n``-word
+    #:   read;
+    #: * ``words(n)``: the first ``n`` words from ``addr``, as reads return
+    #:   them;
+    #: * ``book(reads, n, start_fs, period_fs)``: records in the slave what
+    #:   ``reads`` calls of ``n``-word reads record, call ``i`` starting at
+    #:   ``start_fs + i * period_fs``.
+    closed_read = None
+
     @abc.abstractmethod
     def get_low_add(self) -> int:
         """Lowest address (inclusive) decoded by this slave."""

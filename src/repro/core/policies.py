@@ -166,9 +166,11 @@ class SlotManager(abc.ABC):
     def has_idle_capacity(self, context: Context, active: Optional[Context]) -> bool:
         """True if ``context`` could be loaded without evicting ``active``."""
 
-    def touch(self, slot: Slot) -> None:
-        """Mark a slot as just used (LRU bookkeeping)."""
-        slot.last_use = self.tick()
+    def touch(self, slot: Slot, uses: int = 1) -> None:
+        """Mark a slot as just used ``uses`` times over (LRU bookkeeping):
+        each use draws one tick."""
+        self._tick += uses
+        slot.last_use = self._tick
 
 
 class FixedSlotManager(SlotManager):

@@ -95,6 +95,19 @@ class DrcfStats:
         self.timeline.record(start, end, "active", name)
         self.note_time(end)
 
+    def record_active_calls(
+        self, name: str, start_fs: int, duration_fs: int, period_fs: int, calls: int
+    ) -> None:
+        """What ``calls`` :meth:`record_active` calls of ``duration_fs``
+        each record, call ``i`` starting at ``start_fs + i * period_fs``."""
+        cs = self.per_context[name]
+        cs.calls += calls
+        cs.active_time = cs.active_time + SimTime.from_fs(calls * duration_fs)
+        self.timeline.record_repeated(start_fs, duration_fs, period_fs, calls, "active", name)
+        # The first call's end opens the observation window if none is open.
+        self.note_time(SimTime.from_fs(start_fs + duration_fs))
+        self.note_time(SimTime.from_fs(start_fs + (calls - 1) * period_fs + duration_fs))
+
     def record_compute(self, name: str, start: SimTime, end: SimTime) -> None:
         """Asynchronous in-fabric computation time (accelerator-driven).
 

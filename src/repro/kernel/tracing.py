@@ -107,6 +107,16 @@ class TimelineRecorder:
             raise ValueError("interval end precedes start")
         self._rows.append((start.femtoseconds, end.femtoseconds, track, label))
 
+    def record_repeated(
+        self, start_fs: int, duration_fs: int, period_fs: int, count: int, track: str, label: str
+    ) -> None:
+        """Record ``count`` intervals of ``duration_fs`` on ``track``, the
+        ``i``-th starting at ``start_fs + i * period_fs``."""
+        self._rows += [
+            (start_fs + i * period_fs, start_fs + i * period_fs + duration_fs, track, label)
+            for i in range(count)
+        ]
+
     @property
     def rows(self) -> List[Tuple[SimTime, SimTime, str, str]]:
         """All intervals, sorted by start time."""
