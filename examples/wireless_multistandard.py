@@ -27,7 +27,7 @@ from repro.apps import (
 from repro.core import ContextPrefetcher, SequencePredictor
 from repro.dse import format_table
 from repro.kernel import Simulator
-from repro.tech import ASIC, MORPHOSYS
+from repro.tech import MORPHOSYS
 
 V1_BLOCKS = ("fir", "fft", "viterbi")
 V2_BLOCKS = ("fir", "fft", "viterbi", "xtea")

@@ -90,8 +90,8 @@ class Arbiter:
         """Book ``n`` uncontended grants to ``label`` that were never taken.
 
         What ``n`` :meth:`try_acquire`/:meth:`release` pairs on an idle
-        arbiter leave behind; the bus calls it for the bursts of a
-        closed-form burst train.
+        arbiter leave behind; the bus calls it for the transfers of a
+        closed-form burst train or poll train.
         """
         self.grant_count += n
         self._note_requester(label)

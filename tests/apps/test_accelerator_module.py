@@ -20,7 +20,7 @@ from repro.apps.accelerators import (
     to_words,
 )
 from repro.bus import Bus
-from repro.kernel import SimulationError, Simulator, ns, us
+from repro.kernel import SimulationError, Simulator, us
 from repro.tech import ASIC, VIRTEX2PRO
 from tests.conftest import drive
 

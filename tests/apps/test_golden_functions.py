@@ -1,7 +1,5 @@
 """Golden (executable-specification) functions — with property tests."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.apps import (
-    ACCELERATOR_CLASSES,
     accelerator_gate_counts,
     architecture_area_um2,
     make_baseline_netlist,

@@ -1,7 +1,5 @@
 """Streaming (bus-master) accelerators, standalone and inside a DRCF."""
 
-import pytest
-
 from repro.apps.accelerators import (
     CMD_START,
     REG_CTRL,

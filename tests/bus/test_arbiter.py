@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import SimulationError, Simulator, ns
+from repro.kernel import SimulationError, ns
 from repro.bus import Arbiter
 
 

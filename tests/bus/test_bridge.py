@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bus import Bus, BusBridge, Memory
-from repro.kernel import SimulationError, Simulator, ns
+from repro.kernel import ns
 from tests.conftest import drive
 
 

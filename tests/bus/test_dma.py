@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bus import Bus, DmaController, DmaDescriptor, Memory
-from repro.kernel import Simulator, ns
+from repro.kernel import ns
 
 
 def make_system(sim):

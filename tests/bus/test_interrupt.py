@@ -2,18 +2,16 @@
 
 import pytest
 
-from repro.apps import JobRunner, JobSpec, golden_outputs, make_baseline_netlist
+from repro.apps import JobSpec, golden_outputs, make_baseline_netlist
 from repro.apps.driver import run_accelerator_job
 from repro.bus import (
     Bus,
     InterruptController,
-    Memory,
     REG_ACK,
     REG_MASK,
     REG_PENDING,
 )
-from repro.kernel import SimulationError, Simulator, ns, us
-from tests.conftest import drive
+from repro.kernel import SimulationError, Simulator, ns
 
 
 def make_ctrl(sim, n_lines=8):

@@ -4,10 +4,11 @@ import re
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.bus.memory as memory_mod
 from repro.bus import ConfigMemory, Memory, region_checksum
-from repro.kernel import Module, SimulationError, ns
+from repro.kernel import Module, SimulationError, Simulator
 from tests.conftest import drive
 
 
@@ -108,6 +109,37 @@ class TestMemory:
         mem.poke(0, [1])
         assert mem.peek(4 * ((1 << 24) - 1024), 1024) == [0] * 1024
         assert len(mem._pages) == 1  # one written page; reads allocate nothing
+
+
+#: Pages of the property test's memory (1,024 words each).
+PAGES = 6
+
+
+class TestPagedLoad:
+    @given(
+        st.integers(0, PAGES * 1024 - 1),
+        st.integers(1, 3 * 1024),
+        st.sets(st.integers(0, PAGES - 1)),
+        st.integers(0, 1023),
+        st.sampled_from([0, 0xDEAD]),
+    )
+    @settings(deadline=None)
+    def test_spans_match_a_per_word_reference(self, start, count, written, offset, fill):
+        """Spans that cross page boundaries, over no, some or all written
+        pages, read as the word-by-word reference: written words as
+        written, every other word as the fill.  A written page holds data
+        in its first ``offset + 1`` words."""
+        mem = Memory("m", sim=Simulator(), base=0x400, size_words=PAGES * 1024, fill=fill)
+        reference = {}
+        for page in written:
+            first = page * 1024
+            words = list(range(first + 1, first + offset + 2))
+            mem.poke(0x400 + 4 * first, words)
+            reference.update(zip(range(first, first + offset + 1), words))
+        count = min(count, PAGES * 1024 - start)
+        expected = [reference.get(i, fill) for i in range(start, start + count)]
+        assert mem._load(start, count) == expected
+        assert mem.peek(0x400 + 4 * start, count) == expected
 
 
 class TestConfigMemory:

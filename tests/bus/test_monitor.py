@@ -117,7 +117,22 @@ train_records = st.builds(
     st.integers(0, 10**6),
     st.lists(st.sampled_from(TAGS), max_size=2, unique=True).map(tuple),
 )
-traffic = st.lists(st.one_of(single_transactions, train_records), max_size=12)
+#: Poll trains: one-word reads of one address (stride 0), one poll
+#: interval (``gap_fs``) apart.
+poll_train_records = st.builds(
+    lambda master, slave, addr, polls, start, read, tags, gap: TrainRecord(
+        "read", master, slave, addr, 0, 1, polls, start, read, read, tags, gap_fs=gap
+    ),
+    st.sampled_from(MASTERS),
+    st.sampled_from(SLAVES),
+    st.integers(0, 2**16),
+    st.integers(1, 100),
+    st.integers(0, 10**9),
+    st.integers(0, 10**6),
+    st.lists(st.sampled_from(TAGS), max_size=2, unique=True).map(tuple),
+    st.integers(1, 10**6),
+)
+traffic = st.lists(st.one_of(single_transactions, train_records, poll_train_records), max_size=12)
 
 
 def _feed(records):
@@ -176,6 +191,18 @@ class TestTrainRecords:
             Transaction("read", "dma", "cfg", 0x100, 4, fs(1000), fs(1000), fs(1070), ["config"]),
             Transaction("read", "dma", "cfg", 0x110, 4, fs(1070), fs(1070), fs(1140), ["config"]),
             Transaction("read", "dma", "cfg", 0x120, 2, fs(1140), fs(1140), fs(1190), ["config"]),
+        ]
+
+    def test_expansion_of_a_poll_train(self):
+        """Stride 0 reads the same address each time; each read is issued
+        ``gap_fs`` after the previous one completed."""
+        train = TrainRecord("read", "cpu", "acc", 0x4004, 0, 1, 3, 1000, 40, 40, (), gap_fs=80)
+        assert train.bursts == 3
+        assert train.busy_fs == 120
+        assert list(train.expand()) == [
+            Transaction("read", "cpu", "acc", 0x4004, 1, fs(1000), fs(1000), fs(1040), []),
+            Transaction("read", "cpu", "acc", 0x4004, 1, fs(1120), fs(1120), fs(1160), []),
+            Transaction("read", "cpu", "acc", 0x4004, 1, fs(1240), fs(1240), fs(1280), []),
         ]
 
     def test_transactions_are_a_fresh_list_with_fresh_tags(self):

@@ -6,7 +6,7 @@ from typing import List, Optional
 
 from repro.bus import Bus, BusSlaveIf, ConfigMemory
 from repro.core import Context, ContextParameters, Drcf
-from repro.kernel import Module, Simulator, cycles_to_time, ns, us
+from repro.kernel import Module, Simulator, ns
 from repro.tech import ReconfigTechnology
 
 

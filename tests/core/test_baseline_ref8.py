@@ -1,7 +1,6 @@
 """The ref-[8] baseline: switch delay without memory traffic."""
 
 from repro.core import Ref8Drcf
-from repro.kernel import ZERO_TIME
 from tests.core.helpers import DrcfRig, small_tech
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.apps import make_baseline_netlist
 from repro.core import (
     CodegenError,
-    Netlist,
     default_env,
     exec_build_source,
     generate_build_source,
@@ -74,7 +73,7 @@ class TestBuildSource:
 
     def test_value_formatting(self):
         from repro.core.codegen import _format_value
-        from repro.kernel import SimTime, us
+        from repro.kernel import us
 
         assert _format_value(True) == "True"
         assert _format_value(5) == "5"

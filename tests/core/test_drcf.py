@@ -3,8 +3,8 @@
 import pytest
 
 from repro.bus import BusSlaveIf
-from repro.core import Context, ContextParameters, Drcf, LruPolicy
-from repro.kernel import Module, SimulationError, Simulator, ZERO_TIME, ns, us
+from repro.core import Context, ContextParameters, Drcf
+from repro.kernel import SimulationError, Simulator, ZERO_TIME, ns, us
 from repro.tech import ASIC
 from tests.conftest import drive
 from tests.core.helpers import DrcfRig, DummySlave, small_tech

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import EnergyBreakdown, PowerModel
 from repro.kernel import us
-from tests.conftest import drive
 from tests.core.helpers import DrcfRig, small_tech
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import ZERO_TIME, ns, us
+from repro.kernel import ZERO_TIME, us
 from tests.conftest import drive
 from tests.core.helpers import DrcfRig, small_tech
 

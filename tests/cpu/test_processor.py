@@ -4,8 +4,7 @@ import pytest
 
 from repro.bus import Bus, Memory
 from repro.cpu import Processor
-from repro.kernel import SimulationError, Simulator, ns, us
-from tests.conftest import drive
+from repro.kernel import ns, us
 
 
 def make_system(sim, cpu_clock=200e6):

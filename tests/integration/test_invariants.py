@@ -4,7 +4,6 @@ sequences (the core correctness arguments of the methodology)."""
 from hypothesis import given, settings, strategies as st
 
 from repro.core import ContextPrefetcher, SequencePredictor
-from repro.kernel import ZERO_TIME
 from tests.core.helpers import DrcfRig, small_tech
 
 access_sequences = st.lists(st.integers(0, 3), min_size=1, max_size=12)

@@ -7,13 +7,10 @@ needs ``BusSlaveIf`` (with the two address methods) — so a stock
 folds into a context unchanged, and behaves identically before and after.
 """
 
-import pytest
-
 from repro.bus import Bus, ConfigMemory, Memory
 from repro.core import Context, Drcf, context_parameters_for
 from repro.kernel import Simulator
 from repro.tech import VARICORE
-from tests.conftest import drive
 
 
 def build(wrapped: bool):

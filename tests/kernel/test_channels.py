@@ -3,7 +3,6 @@
 import pytest
 
 from repro.kernel import Fifo, Mutex, Semaphore, SimulationError, ns
-from tests.conftest import drive
 
 
 class TestFifo:

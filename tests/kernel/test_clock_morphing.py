@@ -1,8 +1,6 @@
 """Clock morphing (pausable clocks) — the paper's reference [7] mechanism."""
 
-import pytest
-
-from repro.kernel import Clock, Simulator, ns
+from repro.kernel import Clock, ns
 
 
 def edge_recorder(sim, clock):

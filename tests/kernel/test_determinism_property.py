@@ -8,7 +8,7 @@ is the foundation the whole methodology's reproducibility rests on.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel import Event, Signal, Simulator, fs, ns
+from repro.kernel import Event, Signal, Simulator, ns
 
 # One action of a process body: (kind, operand)
 actions = st.one_of(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import Event, SchedulingError, Simulator, ZERO_TIME, ns
+from repro.kernel import Event, SchedulingError, ZERO_TIME, ns
 
 
 def waiter_log(sim, event, log, label="w"):

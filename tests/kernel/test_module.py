@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import ElaborationError, Module, Simulator, ns
+from repro.kernel import ElaborationError, Module, ns
 
 
 class TestHierarchy:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import AnyOf, Event, Module, ProcessError, ProcessState, ns
+from repro.kernel import AnyOf, Module, ProcessError, ProcessState, ns
 
 
 class Ticker(Module):

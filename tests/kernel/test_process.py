@@ -9,7 +9,6 @@ from repro.kernel import (
     Event,
     Module,
     ProcessError,
-    ProcessState,
     SchedulingError,
     ns,
 )

@@ -1,6 +1,6 @@
 """Signals and clocks: evaluate/update semantics, edges, periods."""
 
-from repro.kernel import Clock, Module, Signal, Simulator, ns
+from repro.kernel import Clock, Signal, ns
 
 
 class TestSignalSemantics:

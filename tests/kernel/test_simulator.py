@@ -8,7 +8,6 @@ from repro.kernel import (
     SchedulingError,
     Signal,
     Simulator,
-    ZERO_TIME,
     ns,
 )
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import ElaborationError, SchedulingError, Simulator, ns
+from repro.kernel import ElaborationError, ns
 
 
 class TestElaborationHooks:

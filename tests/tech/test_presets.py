@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.kernel import ms, us
+from repro.kernel import ms
 from repro.tech import (
     ASIC,
     MORPHOSYS,
