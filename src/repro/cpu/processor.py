@@ -63,6 +63,10 @@ class Processor(Module):
         self.bus_writes = 0
         self.tasks_completed = 0
         self._task_done_times: Dict[str, SimTime] = {}
+        # Cycle-count -> SimTime cache, as Bus.cycles keeps: compute()
+        # waits repeat the same few counts.  Keyed only by count:
+        # ``clock_freq_hz`` is fixed at construction.
+        self._cycle_cache: Dict[int, SimTime] = {}
 
     # -- task services -----------------------------------------------------
     def compute(self, n_cycles: int):
@@ -71,12 +75,19 @@ class Processor(Module):
             raise SimulationError("compute cycle count must be non-negative")
         self.compute_cycles += n_cycles
         if n_cycles:
-            yield cycles_to_time(n_cycles, self.clock_freq_hz)
+            yield self._cycles(n_cycles)
+
+    def _cycles(self, n: int) -> SimTime:
+        """``n`` CPU-clock cycles as a duration."""
+        t = self._cycle_cache.get(n)
+        if t is None:
+            t = self._cycle_cache[n] = cycles_to_time(n, self.clock_freq_hz)
+        return t
 
     def read(self, addr: int, count: int = 1):
         """Bus burst read (generator); returns the word list."""
         self.bus_reads += count
-        data = yield from self.mst_port.read(addr, count, master=self.master_label)
+        data = yield from self.mst_port.resolve().read(addr, count, master=self.master_label)
         return data
 
     def read_word(self, addr: int):
@@ -88,7 +99,7 @@ class Processor(Module):
         """Bus burst write (generator)."""
         n = 1 if isinstance(data, int) else len(data)
         self.bus_writes += n
-        yield from self.mst_port.write(addr, data, master=self.master_label)
+        yield from self.mst_port.resolve().write(addr, data, master=self.master_label)
 
     def poll(self, addr: int, mask: int, expect: int, interval_cycles: int = 8, max_polls: int = 1_000_000):
         """Poll ``addr`` until ``word & mask == expect`` (generator).
@@ -110,7 +121,7 @@ class Processor(Module):
         book = None
         if isinstance(target, Bus) and type(interval_cycles) is int and interval_cycles >= 0:
             book = target.book_polls
-            interval_fs = cycles_to_time(interval_cycles, self.clock_freq_hz).femtoseconds if interval_cycles else None
+            interval_fs = self._cycles(interval_cycles).femtoseconds if interval_cycles else None
         left = max_polls
         while left > 0:
             if book is not None:

@@ -72,6 +72,12 @@ class Port:
         optional ports; resolving one while unbound still raises.
     """
 
+    #: Bumped by every :meth:`bind` and :meth:`unbind` of any port.  A
+    #: resolution cached at an older count may be stale, since a port
+    #: further up a chain may have been rebound since.  Shared by every
+    #: design in the process: a bump costs each other port one more walk.
+    _bindings = 0
+
     def __init__(
         self,
         owner: "Module",
@@ -84,6 +90,9 @@ class Port:
         self.name = name
         self.optional = optional
         self._bound: Optional[object] = None
+        # The last successful resolve() and the binding count it saw.
+        self._resolved: Optional[object] = None
+        self._resolved_at = -1
         if not hasattr(owner, "_ports"):
             owner._ports = []  # type: ignore[attr-defined]
         owner._ports.append(self)  # type: ignore[attr-defined]
@@ -103,21 +112,29 @@ class Port:
         if isinstance(impl, Port):
             # Hierarchical binding: delegate to the other port's binding,
             # resolved lazily at first access.
-            self._bound = impl
-            return
-        if self.iface is not None and not isinstance(impl, self.iface):
+            pass
+        elif self.iface is not None and not isinstance(impl, self.iface):
             raise BindingError(
                 f"port {self.full_name} requires {self.iface.__name__}, "
                 f"got {type(impl).__name__}"
             )
         self._bound = impl
+        Port._bindings += 1
 
     def unbind(self) -> None:
         """Remove the current binding (used by model transformations)."""
         self._bound = None
+        Port._bindings += 1
 
     def resolve(self) -> object:
-        """The final interface implementation, following port-to-port chains."""
+        """The final interface implementation, following port-to-port chains.
+
+        Resolved once per binding: the result is cached until the next
+        :meth:`bind` or :meth:`unbind` of any port.  Failures are not
+        cached, so they raise again with the same message.
+        """
+        if self._resolved_at == Port._bindings:
+            return self._resolved
         impl = self._bound
         if impl is None:
             raise BindingError(f"port {self.full_name} is not bound")
@@ -132,6 +149,8 @@ class Port:
                 f"port {self.full_name} resolved to {type(impl).__name__}, "
                 f"which does not implement {self.iface.__name__}"
             )
+        self._resolved = impl
+        self._resolved_at = Port._bindings
         return impl
 
     def binding_chain(self) -> "Tuple[List[Port], Optional[object]]":

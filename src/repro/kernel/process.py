@@ -30,11 +30,20 @@ instead of allocated), event registration goes through the events'
 insertion-ordered waiter dicts (O(1) disarm), the fire path is inlined,
 and :attr:`Process.wait_description` is computed lazily from the stored
 wait spec rather than formatted on every suspend.
+
+The handle is also the thread's timed-heap entry owner (see
+:mod:`repro.kernel.simulator`).  A plain ``yield <SimTime>``, the
+commonest wait, is armed in :meth:`ThreadProcess._execute` itself: it
+pushes one ``(time_fs, seq, handle)`` tuple and allocates nothing else.
+Its wake makes the thread runnable without :meth:`WaitHandle._fire`'s
+event loops.  ``yield ZERO_TIME`` is such a timed wait at the current
+instant, not a delta wait as SystemC's ``wait(SC_ZERO_TIME)`` is.
 """
 
 from __future__ import annotations
 
 import enum
+from heapq import heappush
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Sequence, Union
 
 from .errors import ProcessError, SchedulingError
@@ -105,15 +114,21 @@ class WaitHandle:
     first satisfying trigger it disarms everything and schedules the owning
     process runnable with the resume value.  Each thread process owns one
     handle for its whole lifetime, re-armed per wait.
+
+    The handle is also the thread's reusable timed entry: a timeout pushes
+    ``(time_fs, seq, handle)`` onto the simulator's timed heap and sets
+    :attr:`live_seq` to ``seq``, so a timed wait allocates no
+    :class:`~repro.kernel.TimedAction`.  Disarming sets ``live_seq`` to 0,
+    which no entry carries, and the heap skips the entry as stale.
     """
 
-    __slots__ = ("process", "events", "pending_all", "timed_action", "active", "is_all")
+    __slots__ = ("process", "events", "pending_all", "live_seq", "active", "is_all")
 
     def __init__(self, process: "ThreadProcess") -> None:
         self.process = process
         self.events: List[Event] = []
         self.pending_all: List[Event] = []
-        self.timed_action: Optional["TimedAction"] = None
+        self.live_seq = 0
         self.active = True
         self.is_all = False
 
@@ -129,9 +144,9 @@ class WaitHandle:
 
     def arm_timeout(self, delay: SimTime) -> None:
         sim = self.process.sim
-        self.timed_action = sim._schedule_timed_fs(
-            sim._now_fs + delay.femtoseconds, self._on_timeout
-        )
+        sim._seq = seq = sim._seq + 1
+        self.live_seq = seq
+        heappush(sim._timed_heap, (sim._now_fs + delay._fs, seq, self))
 
     # -- triggering ---------------------------------------------------------
     def on_trigger(self, event: Event) -> None:
@@ -148,11 +163,19 @@ class WaitHandle:
                 return
         self._fire(event)
 
-    def _on_timeout(self) -> None:
-        self.timed_action = None
-        if not self.active:
+    def callback(self) -> None:
+        """The timeout came due (the timed heap calls this on a live entry)."""
+        if self.events:
+            self._fire(TIMEOUT)  # an AnyOf timeout: disarm its events too
             return
-        self._fire(TIMEOUT)
+        # A plain timed wait: nothing else is armed, so only the resume is
+        # left of _fire().
+        process = self.process
+        process._resume_value = TIMEOUT
+        process._handle = None
+        process.state = _READY
+        process._wait_spec = None
+        process.sim._runnable.append(process)
 
     def _fire(self, value: object) -> None:
         # disarm() and process._schedule_resume(), inlined: this runs once
@@ -165,10 +188,7 @@ class WaitHandle:
             events.clear()
         if self.pending_all:
             self.pending_all.clear()
-        action = self.timed_action
-        if action is not None:
-            action.cancelled = True
-            self.timed_action = None
+        self.live_seq = 0
         process = self.process
         if process.state is not _TERMINATED:
             process._resume_value = value
@@ -185,9 +205,7 @@ class WaitHandle:
         self.events.clear()
         if self.pending_all:
             self.pending_all.clear()
-        if self.timed_action is not None:
-            self.timed_action.cancel()
-            self.timed_action = None
+        self.live_seq = 0
 
 
 #: Sentinel for ``Process._wait_spec`` while waiting on static sensitivity.
@@ -361,9 +379,22 @@ class ThreadProcess(Process):
         except Exception as exc:
             self._terminate()
             raise ProcessError(self.name, f"{type(exc).__name__}: {exc}") from exc
+        if isinstance(spec, SimTime):
+            # A plain timed wait, the commonest: WaitHandle.arm_timeout(),
+            # inlined, and nothing else to arm.
+            self.state = _WAITING
+            self._wait_spec = spec
+            self._handle = handle = self._wait_handle
+            sim = self.sim
+            sim._seq = seq = sim._seq + 1
+            handle.live_seq = seq
+            heappush(sim._timed_heap, (sim._now_fs + spec._fs, seq, handle))
+            return
         self._suspend_on(spec)
 
     def _suspend_on(self, spec: WaitSpec) -> None:
+        """Arm the wait of any spec but a plain :class:`SimTime`, which
+        :meth:`_execute` arms itself."""
         self.state = _WAITING
         if spec is None:
             if not self.static_sensitivity:
@@ -376,9 +407,7 @@ class ThreadProcess(Process):
         handle = self._wait_handle
         handle.active = True
         handle.is_all = False
-        if isinstance(spec, SimTime):
-            handle.arm_timeout(spec)
-        elif isinstance(spec, Event):
+        if isinstance(spec, Event):
             # Single-event wait: register directly (the common case).
             handle.events.append(spec)
             spec._dynamic_waiters[handle] = None
@@ -531,8 +560,8 @@ class MethodProcess(Process):
             raise ProcessError(self.name, f"{type(exc).__name__}: {exc}") from exc
         if self._pending_trigger != "unset":
             self._install_dynamic(self._pending_trigger)
-        if self.state is ProcessState.RUNNING:
-            self.state = ProcessState.WAITING
+        if self.state is _RUNNING:
+            self.state = _WAITING
 
     def _install_dynamic(self, spec: "WaitSpec") -> None:
         if self._dynamic is not None:

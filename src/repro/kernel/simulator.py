@@ -23,6 +23,17 @@ leave stale queue entries that the events skip on pop (see
 integer femtosecond count (for arithmetic) and as a cached
 :class:`SimTime` (for observation) so the inner loop never re-wraps it.
 
+Timed-heap entries are ``(time_fs, seq, owner)`` tuples.  ``seq`` is
+unique, so the heap orders them in C by ``(time_fs, seq)`` and never
+compares owners.  One rule says which entries are live: an entry is live
+iff ``owner.live_seq == seq``, and a live entry fires as
+``owner.callback()``.  Cancelling sets the owner's ``live_seq`` to 0, so
+its entry goes stale and is discarded when popped.  An owner is a
+:class:`TimedAction` (event notifications, ``next_trigger`` timeouts,
+:meth:`Simulator.schedule`) or a thread's reusable wait handle: a thread's
+``yield <SimTime>`` costs one tuple push and one tuple pop (see
+:mod:`repro.kernel.process`).
+
 ``trace_hooks`` fire once per *finished instant* — after the last delta
 cycle at a timestamp has settled and before time advances — so delta-only
 activity (e.g. everything happening at t=0) is traced too.  Activity a
@@ -57,22 +68,29 @@ _RUNNING = ProcessState.RUNNING
 
 
 class TimedAction:
-    """A cancellable callback scheduled at an absolute simulation time."""
+    """A cancellable callback scheduled at an absolute simulation time.
 
-    __slots__ = ("time_fs", "seq", "callback", "cancelled")
+    The owner of one timed-heap entry ``(time_fs, seq, self)``: the entry
+    is live while :attr:`live_seq` equals its ``seq`` (see
+    :mod:`repro.kernel.simulator`).
+    """
+
+    __slots__ = ("time_fs", "seq", "callback", "live_seq")
 
     def __init__(self, time_fs: int, seq: int, callback: Callable[[], None]) -> None:
         self.time_fs = time_fs
         self.seq = seq
         self.callback = callback
-        self.cancelled = False
+        self.live_seq = seq
+
+    @property
+    def cancelled(self) -> bool:
+        """True once :meth:`cancel` has run."""
+        return self.live_seq != self.seq
 
     def cancel(self) -> None:
         """Prevent the callback from firing (the heap entry is skipped)."""
-        self.cancelled = True
-
-    def __lt__(self, other: "TimedAction") -> bool:
-        return (self.time_fs, self.seq) < (other.time_fs, other.seq)
+        self.live_seq = 0
 
 
 class _RunState:
@@ -155,7 +173,8 @@ class Simulator:
         self._stop_requested = False
         self._seq = 0
         self._runnable: deque = deque()
-        self._timed_heap: List[TimedAction] = []
+        # ``(time_fs, seq, owner)`` entries; see the module docstring.
+        self._timed_heap: List[Tuple[int, int, object]] = []
         self._delta_events: List[Event] = []
         self._update_queue: List[object] = []
         self._processes: List[Process] = []
@@ -231,9 +250,9 @@ class Simulator:
     def _schedule_timed_fs(self, time_fs: int, callback: Callable[[], None]) -> TimedAction:
         if time_fs < self._now_fs:
             raise SchedulingError("cannot schedule in the past")
-        self._seq += 1
-        action = TimedAction(time_fs, self._seq, callback)
-        heapq.heappush(self._timed_heap, action)
+        self._seq = seq = self._seq + 1
+        action = TimedAction(time_fs, seq, callback)
+        heapq.heappush(self._timed_heap, (time_fs, seq, action))
         return action
 
     def schedule(self, delay: SimTime, callback: Callable[[], None]) -> TimedAction:
@@ -429,24 +448,25 @@ class Simulator:
                 ):
                     self._trip_watchdog(max_wall_s)
                     break
-                next_action = self._pop_next_timed()
-                if next_action is None:
+                entry = self._pop_next_timed()
+                if entry is None:
                     break  # starvation
-                if until_fs is not None and next_action.time_fs > until_fs:
-                    heappush(timed_heap, next_action)
+                now_fs, _, owner = entry
+                if until_fs is not None and now_fs > until_fs:
+                    heappush(timed_heap, entry)
                     self._now_fs = until_fs
                     break
-                self._now_fs = now_fs = next_action.time_fs
+                self._now_fs = now_fs
                 stats.timed_activations += 1
                 instant_active = True
-                next_action.callback()
+                owner.callback()
                 # Fire everything else scheduled at the same instant.
-                while timed_heap and timed_heap[0].time_fs == now_fs:
-                    action = heappop(timed_heap)
-                    if action.cancelled:
+                while timed_heap and timed_heap[0][0] == now_fs:
+                    _, seq, owner = heappop(timed_heap)
+                    if owner.live_seq != seq:
                         continue
                     stats.timed_activations += 1
-                    action.callback()
+                    owner.callback()
         finally:
             self._running = False
             self.current_process = None
@@ -489,12 +509,15 @@ class Simulator:
         ):
             return None
         heap = self._timed_heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
         run_state = self._run_state
         last_wake_fs = run_state.until_fs
-        if heap and (last_wake_fs is None or heap[0].time_fs <= last_wake_fs):
-            last_wake_fs = heap[0].time_fs - 1
+        while heap:
+            time_fs, seq, owner = heap[0]
+            if owner.live_seq == seq:
+                if last_wake_fs is None or time_fs <= last_wake_fs:
+                    last_wake_fs = time_fs - 1
+                break
+            heapq.heappop(heap)
         max_waits = None
         if run_state.wall_deadline is not None:
             # Each wait adds one to both counters, and the round trip checks
@@ -542,12 +565,14 @@ class Simulator:
         else:
             self.watchdog_report = watchdog_report(self, max_wall_s)
 
-    def _pop_next_timed(self) -> Optional[TimedAction]:
+    def _pop_next_timed(self) -> Optional[Tuple[int, int, object]]:
+        """Pop and return the first live timed-heap entry, discarding the
+        stale ones before it; None when no live entry is left."""
         timed_heap = self._timed_heap
         while timed_heap:
-            action = heapq.heappop(timed_heap)
-            if not action.cancelled:
-                return action
+            entry = heapq.heappop(timed_heap)
+            if entry[2].live_seq == entry[1]:
+                return entry
         return None
 
     # -- diagnosis ---------------------------------------------------------------
@@ -565,8 +590,9 @@ class Simulator:
         ]
 
     def pending_timed_count(self) -> int:
-        """Number of not-yet-cancelled timed actions still queued."""
-        return sum(1 for a in self._timed_heap if not a.cancelled)
+        """Number of live timed-heap entries: timed actions and timed waits
+        still to fire."""
+        return sum(1 for _, seq, owner in self._timed_heap if owner.live_seq == seq)
 
     def __repr__(self) -> str:
         return f"Simulator({self.name!r}, now={self.now})"

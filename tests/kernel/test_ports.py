@@ -101,6 +101,45 @@ class TestBinding:
         assert client.port.greet() == "hello"
 
 
+class TestResolutionCache:
+    """A port resolves once per binding; any bind or unbind re-resolves."""
+
+    def test_rebinding_a_parent_port_takes_effect_at_the_next_call(self, sim):
+        outer = Client("outer", sim=sim)
+        inner = Client("inner", sim=sim)
+        g1, g2 = Greeter("g1", sim=sim), Greeter("g2", sim=sim)
+        inner.port.bind(outer.port)
+        outer.port.bind(g1)
+        assert inner.port.greet() == "hello from g1"
+        assert inner.port.resolve() is g1  # cached
+        outer.port.unbind()
+        outer.port.bind(g2)  # rebinds the chain's parent, not inner itself
+        assert inner.port.greet() == "hello from g2"
+        assert inner.port() is g2
+
+    def test_unbind_still_raises(self, sim):
+        outer = Client("outer", sim=sim)
+        inner = Client("inner", sim=sim)
+        greeter = Greeter("g", sim=sim)
+        inner.port.bind(outer.port)
+        outer.port.bind(greeter)
+        assert inner.port.greet() == "hello from g"
+        outer.port.unbind()
+        with pytest.raises(BindingError, match="inner.port chains to unbound port outer.port"):
+            inner.port.greet()
+        inner.port.unbind()
+        with pytest.raises(BindingError, match="port inner.port is not bound"):
+            inner.port.resolve()
+
+    def test_failures_are_not_cached(self, sim):
+        client = Client("client", sim=sim)
+        for _ in range(2):  # the same message every time
+            with pytest.raises(BindingError, match="port client.port is not bound"):
+                client.port.resolve()
+        client.port.bind(Greeter("g", sim=sim))
+        assert client.port.greet() == "hello from g"
+
+
 class TestAnalysisHelpers:
     def test_ports_of_lists_declared_ports(self, sim):
         client = Client("client", sim=sim)
