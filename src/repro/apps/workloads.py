@@ -12,6 +12,8 @@ schedules with controllable *context locality*:
 * :func:`batched_jobs` — all invocations of a block run back to back
   (best case: one switch per block);
 * :func:`random_mix_jobs` — seeded random block order (intermediate);
+* :func:`workload_jobs` — one of the three by the name design points and
+  campaign scenarios give it;
 * :func:`golden_outputs` — reference results from the executable
   specification, for end-to-end verification.
 
@@ -135,6 +137,20 @@ def random_mix_jobs(
         _make_job(rng.choice(list(accels)), rng, sizes, f"mix{i}")
         for i in range(n_jobs)
     ]
+
+
+def workload_jobs(
+    workload: str, accels: Sequence[str], n_frames: int, *, seed: int
+) -> List[JobSpec]:
+    """The schedule named ``workload`` (``interleaved``, ``batched`` or
+    ``random``) of ``n_frames`` frames' worth of jobs over ``accels``."""
+    if workload == "interleaved":
+        return frame_interleaved_jobs(accels, n_frames, seed=seed)
+    if workload == "batched":
+        return batched_jobs(accels, n_frames, seed=seed)
+    if workload == "random":
+        return random_mix_jobs(accels, n_frames * len(accels), seed=seed)
+    raise KeyError(f"unknown workload {workload!r}")
 
 
 def golden_outputs(spec: JobSpec) -> List[int]:

@@ -25,9 +25,8 @@ Every transfer runs through one loop, :meth:`Bus._transfer`, which moves
 train* (the DRCF's configuration fetch), and a plain read or write is the
 loop's one-iteration case.  Each burst is issued, arbitrated, decoded
 after its grant, timed phase by phase and recorded as its own
-:class:`Transaction`, exactly like a separate read; :class:`Memory` slaves
-are read as "latency, then sample" by the loop itself, so a burst builds
-no slave generator.
+:class:`Transaction`, exactly like a separate read, and calls its slave
+through the slave's ``read``/``write`` method, whatever the slave is.
 
 While the fetching master is alone, a train runs in closed form: at the
 top of a burst, :meth:`Bus._closed_form` books as many whole bursts as
@@ -50,7 +49,7 @@ and nothing else of it.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
 from .arbiter import Arbiter
@@ -62,7 +61,6 @@ from .interfaces import (
     check_timing,
     normalize_write_data,
 )
-from .memory import Memory
 from .monitor import BusMonitor, TrainRecord
 
 #: Supported bus protocols.
@@ -149,27 +147,22 @@ class Bus(Module, BusMasterIf):
         self.monitor = BusMonitor(name=f"{self.full_name}.monitor")
         self._slaves: List[BusSlaveIf] = []
         self._priorities: Dict[str, int] = {}
-        # One-entry decode cache: (low, high, route) of the last hit,
+        # One-entry decode cache: (low, high, slave) of the last hit,
         # invalidated whenever the slave map changes, so a hit is always a
         # registered slave.  Bounds are snapshotted to skip the interface
         # method calls on the hot path (slave ranges are fixed; DRCF
         # reconfiguration swaps slaves, which invalidates the entry).
         self._decode_cache: Optional[tuple] = None
-        # Cycle-count -> SimTime cache; cycle durations on the transfer path
-        # repeat endlessly for the same burst sizes.  Keyed only by count:
-        # ``clock_freq_hz`` is fixed at construction.
-        self._cycle_cache: Dict[int, SimTime] = {}
-        # A poll's read, for book_polls: femtoseconds into it at which the
-        # slave is called, its bus phases without the slave's access time,
-        # and its waits (also fixed at construction).
+        # One read's phases as the transfer loop waits them, for the closed
+        # forms: the slave is called ``call_fs`` into the read (after the
+        # address phase and, under split, the request beat), and the read
+        # takes ``waits`` kernel waits and ``grants`` arbiter grants.  Its
+        # duration is :meth:`_read_fs`.
+        split = protocol == "split"
         call_fs = self.cycles(address_phase_cycles).femtoseconds
-        if protocol == "split":
+        if split:
             call_fs += self.cycles(1).femtoseconds
-        self._poll_read = (
-            call_fs,
-            call_fs + self.cycles(cycles_per_word).femtoseconds,
-            4 if protocol == "split" else 3,
-        )
+        self._read_phases = (call_fs, 4 if split else 3, 2 if split else 1)
         #: Bursts of trains booked in closed form, and the bursts at which
         #: the closed form declined, by reason (:data:`CLOSED_FORM_DECLINES`).
         self.closed_form_bursts = 0
@@ -222,29 +215,20 @@ class Bus(Module, BusMasterIf):
 
     def decode(self, addr: int) -> BusSlaveIf:
         """The slave whose range contains ``addr``."""
-        return self._route(addr)[0]
-
-    def _route(self, addr: int) -> Tuple[BusSlaveIf, Optional[Memory]]:
-        """``(slave, memory)`` for ``addr``; ``memory`` is the slave when it
-        is a :class:`Memory`, which the transfer loop reads itself."""
         cached = self._decode_cache
         if cached is not None and cached[0] <= addr <= cached[1]:
             return cached[2]
         for slave in self._slaves:
             low, high = slave.get_low_add(), slave.get_high_add()
             if low <= addr <= high:
-                route = (slave, slave if isinstance(slave, Memory) else None)
-                self._decode_cache = (low, high, route)
-                return route
+                self._decode_cache = (low, high, slave)
+                return slave
         raise SimulationError(f"bus {self.full_name}: no slave decodes address {addr:#x}")
 
     # -- timing helpers ------------------------------------------------------------
     def cycles(self, n: int) -> SimTime:
         """``n`` bus-clock cycles as a duration."""
-        t = self._cycle_cache.get(n)
-        if t is None:
-            t = self._cycle_cache[n] = cycles_to_time(n, self.clock_freq_hz)
-        return t
+        return cycles_to_time(n, self.clock_freq_hz)
 
     def transfer_time(self, words: int) -> SimTime:
         """Pure data-path occupancy for a ``words``-word burst."""
@@ -305,12 +289,12 @@ class Bus(Module, BusMasterIf):
 
         Each burst is issued, arbitrated, decoded after its grant, timed
         phase by phase and recorded as one :class:`Transaction`; a single
-        transfer is the one-iteration case.  :class:`Memory` slaves are
-        read as "latency, then sample" in the loop itself.  In a train of
-        several bursts, each burst first offers itself to
-        :meth:`_closed_form`, which books it and the bursts after it at
-        once while the fetching master is alone; a burst it declines runs
-        phase by phase, each phase wait a kernel round trip.
+        transfer is the one-iteration case.  The slave is called through
+        its ``read`` or ``write`` method.  In a train of several bursts,
+        each burst first offers itself to :meth:`_closed_form`, which
+        books it and the bursts after it at once while the fetching master
+        is alone; a burst it declines runs phase by phase, each phase wait
+        a kernel round trip.
         """
         sim = self.sim
         arbiter = self.arbiter
@@ -324,11 +308,9 @@ class Bus(Module, BusMasterIf):
             words: List[int] = []
         while True:
             # Decode errors surface before arbitration.
-            slave, memory = self._route(addr)
+            slave = self.decode(addr)
             if train:
-                data = self._closed_form(
-                    addr, count, burst, master, tags, slave, address_phase, request_beat
-                )
+                data = self._closed_form(addr, count, burst, master, tags, slave)
                 if data is not None:
                     taken = len(data)
                     # The booked words are a fresh list: put the words of
@@ -358,7 +340,7 @@ class Bus(Module, BusMasterIf):
                 # transformation may have swapped the slave map while this
                 # master waited out arbitration, and the transfer must
                 # target the map that is current at grant time.
-                slave, memory = self._route(addr)
+                slave = self.decode(addr)
             held = True
             status: Optional[str] = "ok"
             try:
@@ -370,10 +352,6 @@ class Bus(Module, BusMasterIf):
                     held = False
                 if kind != "read":
                     yield from slave.write(addr, payload if n > 1 else payload[0])
-                elif memory is not None:
-                    index, wait = memory._read_latency(addr, n)
-                    yield wait
-                    data = memory._read_sample(addr, index, n)
                 else:
                     data = yield from slave.read(addr, n)
                 if split:
@@ -431,8 +409,6 @@ class Bus(Module, BusMasterIf):
         master: str,
         tags: Sequence[str],
         slave: BusSlaveIf,
-        address_phase: SimTime,
-        request_beat: Optional[SimTime],
     ) -> Optional[List[int]]:
         """Book whole bursts of a read train at once; their words, or None.
 
@@ -441,8 +417,9 @@ class Bus(Module, BusMasterIf):
         alone, no other process runs or observes the kernel between its
         phase waits, so the bursts' times, counters and data are known in
         advance: each burst is issued and granted at the previous one's
-        completion and lasts its phases, the very cached durations the
-        per-phase loop waits on, with the slave's access time from its
+        completion and lasts its phases (:meth:`_read_fs`), the very
+        memoized durations the per-phase loop waits on, with the slave's
+        access time from its
         :attr:`~repro.bus.interfaces.BusSlaveIf.closed_read`.  The largest
         number of whole bursts that end within the kernel's
         :meth:`~repro.kernel.Simulator.alone_horizon` (and whose phase
@@ -479,18 +456,16 @@ class Bus(Module, BusMasterIf):
         if reason is None:
             access, words, book = answer
             last_wake_fs, max_waits = horizon
-            phases = 3 if request_beat is None else 4
+            call_fs, waits, grants = self._read_phases
             full, rest = divmod(count, burst)
-            full_fs = self._burst_fs(access(burst), burst, address_phase, request_beat)
-            last_fs = (
-                self._burst_fs(access(rest), rest, address_phase, request_beat) if rest else full_fs
-            )
+            full_fs = self._read_fs(burst, access(burst))
+            last_fs = self._read_fs(rest, access(rest)) if rest else full_fs
             start_fs = self.sim.now.femtoseconds
             # k: the most bursts whose waits fit max_waits and whose end
             # fits last_wake_fs (the full ones, then the partial last one).
             k = full + (rest > 0)
             if max_waits is not None:
-                k = min(k, max_waits // phases)
+                k = min(k, max_waits // waits)
             if last_wake_fs is not None:
                 span = last_wake_fs - start_fs
                 if k > full and full * full_fs + last_fs > span:
@@ -502,11 +477,7 @@ class Bus(Module, BusMasterIf):
         if reason is not None:
             self.closed_form_declines[reason] += 1
             return None
-        # The slave is called an address phase (and a request beat) into
-        # each burst.
-        call_fs = start_fs + address_phase.femtoseconds
-        if request_beat is not None:
-            call_fs += request_beat.femtoseconds
+        call_fs += start_fs  # the first burst's slave call
         if k > full:
             taken, end_fs = count, start_fs + full * full_fs + last_fs
             book(full, burst, call_fs, full_fs)
@@ -514,8 +485,8 @@ class Bus(Module, BusMasterIf):
         else:
             taken, end_fs, last_fs = k * burst, start_fs + k * full_fs, full_fs
             book(k, burst, call_fs, full_fs)
-        self.sim.book_alone(k * phases, end_fs)
-        self.arbiter.book_grants(master, k if request_beat is None else 2 * k)
+        self.sim.book_alone(k * waits, end_fs)
+        self.arbiter.book_grants(master, k * grants)
         self.monitor.record_train(
             TrainRecord(
                 kind="read",
@@ -582,7 +553,8 @@ class Bus(Module, BusMasterIf):
             declines["not_alone"] += 1
             return 0
         last_wake_fs, max_waits = horizon
-        call_fs, bus_fs, waits = self._poll_read
+        call_fs, waits, grants = self._read_phases
+        bus_fs = self._read_fs(1, 0)  # the poll's read without the slave's access
         gap_fs = 0
         if interval_fs is not None:
             gap_fs = interval_fs
@@ -595,7 +567,7 @@ class Bus(Module, BusMasterIf):
             declines["horizon"] += 1
             return 0
         try:
-            slave = self._route(addr)[0]
+            slave = self.decode(addr)
         except SimulationError:
             declines["range"] += 1  # the round trip raises the decode error
             return 0
@@ -621,7 +593,7 @@ class Bus(Module, BusMasterIf):
             declines["horizon"] += 1
             return 0
         sim.book_alone(k * waits, start_fs + k * poll_fs)
-        self.arbiter.book_grants(master, 2 * k if self.protocol == "split" else k)
+        self.arbiter.book_grants(master, k * grants)
         book(k, 1, start_fs + call_fs, poll_fs)
         self.monitor.record_train(
             TrainRecord(
@@ -642,17 +614,11 @@ class Bus(Module, BusMasterIf):
         self.closed_form_polls += k
         return k
 
-    def _burst_fs(
-        self, access_fs: int, n: int, address_phase: SimTime, request_beat: Optional[SimTime]
-    ) -> int:
-        """Femtoseconds of an ``n``-word burst whose slave takes
-        ``access_fs``: the sum of the phases the per-phase loop waits on."""
-        fs = (
-            address_phase.femtoseconds
-            + access_fs
-            + self.cycles(n * self.cycles_per_word).femtoseconds
-        )
-        return fs if request_beat is None else fs + request_beat.femtoseconds
+    def _read_fs(self, n: int, access_fs: int) -> int:
+        """Femtoseconds of an ``n``-word read whose slave takes
+        ``access_fs``: the sum of the phases the transfer loop waits on."""
+        data_fs = self.cycles(n * self.cycles_per_word).femtoseconds
+        return self._read_phases[0] + access_fs + data_fs
 
     @staticmethod
     def _slave_name(slave: BusSlaveIf) -> str:

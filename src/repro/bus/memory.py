@@ -13,16 +13,13 @@ slices.  Every store mutation (bus write, :meth:`Memory.poke`, upset
 injection, scrub repair) goes through one helper that bumps the memory's
 write :attr:`~Memory.generation`.
 
-A burst read is "latency, then sample": ``_read_latency`` validates the
-burst and returns its first-access-plus-streaming time, and
-``_read_sample`` takes the words (through the fault hook) once that time
-has passed.  :meth:`Memory.read` is those two steps around one wait, and
-the bus's transfer loop (:mod:`repro.bus.bus`) drives the same two steps
-itself, so a read over the bus builds no memory generator.  The bus's
-closed forms read through :meth:`Memory.closed_read` instead, which takes
-all the booked words as one slice, but only while ``_read_filter_idle``
-says the sampling step would return them as stored: no fault hook, or one
-whose predicate promises to pass them unchanged.
+A burst read (:meth:`Memory.read`) validates the burst, waits its
+first-access-plus-streaming time and then takes the words, through the
+fault hook when one is armed.  The bus's closed forms read through
+:meth:`Memory.closed_read` instead, which takes all the booked words as
+one slice, but only while ``_read_filter_idle`` says a read would return
+them as stored: no fault hook, or one whose predicate promises to pass
+them unchanged.
 
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
@@ -109,6 +106,10 @@ class Memory(Module, BusSlaveIf):
     transient bus/storage errors).  The attribute is ``None`` by default and
     the read path pays a single ``is None`` test for it — arming faults is
     strictly opt-in and costs nothing when disarmed.
+
+    The bus's closed forms read through :meth:`closed_read` and never call
+    :meth:`read`, so a subclass that overrides :meth:`read` must also
+    override :meth:`closed_read` or set ``closed_read = None``.
     """
 
     #: Optional read-path fault filter (class default: disarmed).
@@ -159,9 +160,6 @@ class Memory(Module, BusSlaveIf):
         self.generation = 0
         self.read_word_count = 0
         self.write_word_count = 0
-        # Burst-size -> SimTime cache: workloads issue the same burst
-        # lengths over and over, and SimTime construction is pure.
-        self._burst_cache: Dict[int, SimTime] = {}
 
     # -- BusSlaveIf ----------------------------------------------------------
     def get_low_add(self) -> int:
@@ -170,31 +168,20 @@ class Memory(Module, BusSlaveIf):
     def get_high_add(self) -> int:
         return self.base + self.size_words * self.word_bytes - 1
 
-    def _burst_time(self, count: int):
-        t = self._burst_cache.get(count)
-        if t is None:
-            t = self._burst_cache[count] = cycles_to_time(
-                self.latency_cycles + (count - 1) * self.cycles_per_word,
-                self.clock_freq_hz,
-            )
-        return t
+    def _burst_time(self, count: int) -> SimTime:
+        """A ``count``-word burst's first access plus its streaming."""
+        return cycles_to_time(
+            self.latency_cycles + (count - 1) * self.cycles_per_word, self.clock_freq_hz
+        )
 
     def read(self, addr: int, count: int = 1):
         """Burst read (generator); returns ``count`` words.
 
-        "Latency, then sample" (see the module docstring); the bus's
-        transfer loop drives the same two steps without this generator.
+        The words are taken when the burst's time has passed, through the
+        fault hook when one is armed.
         """
-        index, latency = self._read_latency(addr, count)
-        yield latency
-        return self._read_sample(addr, index, count)
-
-    def _read_latency(self, addr: int, count: int) -> Tuple[int, SimTime]:
-        """Validate a burst read: its first word index and its latency."""
-        return self._index(addr, count), self._burst_time(count)
-
-    def _read_sample(self, addr: int, index: int, count: int) -> List[int]:
-        """The burst's words, sampled when its latency has elapsed."""
+        index = self._index(addr, count)
+        yield self._burst_time(count)
         self.read_word_count += count
         data = self._load(index, count)
         hook = self.fault_hook
@@ -203,14 +190,14 @@ class Memory(Module, BusSlaveIf):
         return data
 
     def _read_filter_idle(self, addr: int, count: int) -> bool:
-        """Would ``_read_sample`` return every burst of the ``count`` words
+        """Would :meth:`read` return every burst of the ``count`` words
         from ``addr`` as stored, with no effect but the read count?
 
         True with no fault hook, or when the hook's
         ``passes_reads_unchanged(memory, addr, count)`` promises that
         ``on_memory_read`` returns each such burst unchanged, with no
         random draw and no log entry; a hook without that predicate keeps
-        every burst on the sampling path.
+        every burst on :meth:`read`.
         """
         hook = self.fault_hook
         if hook is None:
@@ -234,19 +221,14 @@ class Memory(Module, BusSlaveIf):
         def book(reads: int, n: int, start_fs: int, period_fs: int) -> None:
             self.read_word_count += reads * n
 
-        return self._burst_fs, lambda n: self._load(index, n), book
-
-    def _burst_fs(self, count: int) -> int:
-        return self._burst_time(count).femtoseconds
+        return (
+            lambda n: self._burst_time(n).femtoseconds,
+            lambda n: self._load(index, n),
+            book,
+        )
 
     def write(self, addr: int, data: Union[int, Sequence[int]]):
         """Burst write (generator); returns True."""
-        if type(data) is int:  # scalar single-word write: skip normalization
-            index = self._index(addr, 1)
-            yield self._burst_time(1)
-            self._commit(index, (data,))
-            self.write_word_count += 1
-            return True
         words = normalize_write_data(data)
         index = self._index(addr, len(words))
         yield self._burst_time(len(words))

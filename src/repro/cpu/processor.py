@@ -63,10 +63,6 @@ class Processor(Module):
         self.bus_writes = 0
         self.tasks_completed = 0
         self._task_done_times: Dict[str, SimTime] = {}
-        # Cycle-count -> SimTime cache, as Bus.cycles keeps: compute()
-        # waits repeat the same few counts.  Keyed only by count:
-        # ``clock_freq_hz`` is fixed at construction.
-        self._cycle_cache: Dict[int, SimTime] = {}
 
     # -- task services -----------------------------------------------------
     def compute(self, n_cycles: int):
@@ -75,14 +71,7 @@ class Processor(Module):
             raise SimulationError("compute cycle count must be non-negative")
         self.compute_cycles += n_cycles
         if n_cycles:
-            yield self._cycles(n_cycles)
-
-    def _cycles(self, n: int) -> SimTime:
-        """``n`` CPU-clock cycles as a duration."""
-        t = self._cycle_cache.get(n)
-        if t is None:
-            t = self._cycle_cache[n] = cycles_to_time(n, self.clock_freq_hz)
-        return t
+            yield cycles_to_time(n_cycles, self.clock_freq_hz)
 
     def read(self, addr: int, count: int = 1):
         """Bus burst read (generator); returns the word list."""
@@ -121,7 +110,9 @@ class Processor(Module):
         book = None
         if isinstance(target, Bus) and type(interval_cycles) is int and interval_cycles >= 0:
             book = target.book_polls
-            interval_fs = self._cycles(interval_cycles).femtoseconds if interval_cycles else None
+            interval_fs = None
+            if interval_cycles:
+                interval_fs = cycles_to_time(interval_cycles, self.clock_freq_hz).femtoseconds
         left = max_polls
         while left > 0:
             if book is not None:

@@ -10,10 +10,10 @@ deterministic pseudo-random stream so runs are exactly reproducible.
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Optional
 
 from ..bus import BusMasterIf
-from ..kernel import Module, Port, SimTime, cycles_to_time
+from ..kernel import Module, Port, cycles_to_time
 
 
 class TrafficGenerator(Module):
@@ -73,17 +73,11 @@ class TrafficGenerator(Module):
         return self.base + slot * self.word_bytes
 
     def _run(self):
-        # Gap durations by cycle count: the same few counts repeat, and
-        # ``clock_freq_hz`` is fixed at construction.
-        gaps: Dict[int, SimTime] = {}
         while self.n_transactions is None or self.issued < self.n_transactions:
             if self.gap_cycles > 0:
                 gap = self._rng.randint(0, 2 * self.gap_cycles)
                 if gap:
-                    t = gaps.get(gap)
-                    if t is None:
-                        t = gaps[gap] = cycles_to_time(gap, self.clock_freq_hz)
-                    yield t
+                    yield cycles_to_time(gap, self.clock_freq_hz)
             addr = self._random_addr()
             bus = self.mst_port.resolve()
             if self._rng.random() < self.read_fraction:

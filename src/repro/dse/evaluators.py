@@ -34,14 +34,12 @@ from typing import Dict, Optional
 
 from ..apps import (
     JobRunner,
-    batched_jobs,
-    frame_interleaved_jobs,
     golden_outputs,
     make_baseline_netlist,
     make_reconfigurable_netlist,
-    random_mix_jobs,
 )
 from ..apps.soc import accelerator_gate_counts, architecture_area_um2
+from ..apps.workloads import workload_jobs
 from ..core import PowerModel, Ref8Drcf
 from ..core.policies import make_policy
 from ..core.prefetch import ContextPrefetcher, SequencePredictor
@@ -53,17 +51,12 @@ DEFAULT_ACCELS = ("fir", "fft", "viterbi", "xtea")
 
 def make_jobs(params: Dict[str, object]):
     """Build the workload schedule a design point asks for."""
-    accels = tuple(params.get("accels", DEFAULT_ACCELS))
-    workload = str(params.get("workload", "interleaved"))
-    n_frames = int(params.get("n_frames", 2))
-    seed = int(params.get("seed", 42))
-    if workload == "interleaved":
-        return frame_interleaved_jobs(accels, n_frames, seed=seed)
-    if workload == "batched":
-        return batched_jobs(accels, n_frames, seed=seed)
-    if workload == "random":
-        return random_mix_jobs(accels, n_frames * len(accels), seed=seed)
-    raise KeyError(f"unknown workload {workload!r}")
+    return workload_jobs(
+        str(params.get("workload", "interleaved")),
+        tuple(params.get("accels", DEFAULT_ACCELS)),
+        int(params.get("n_frames", 2)),
+        seed=int(params.get("seed", 42)),
+    )
 
 
 def evaluate_architecture(params: Dict[str, object], *, verify: bool = True) -> Dict[str, object]:

@@ -151,31 +151,19 @@ def _build_system(scenario_dict: dict):
     )
 
 
-def _make_jobs(scenario_dict: dict):
-    from ..apps import batched_jobs, frame_interleaved_jobs, random_mix_jobs
-
-    scenario = CampaignScenario.from_dict(scenario_dict)
-    accels = scenario.accels
-    if scenario.workload == "interleaved":
-        return frame_interleaved_jobs(accels, scenario.n_frames, seed=scenario.workload_seed)
-    if scenario.workload == "batched":
-        return batched_jobs(accels, scenario.n_frames, seed=scenario.workload_seed)
-    if scenario.workload == "random":
-        return random_mix_jobs(
-            accels, scenario.n_frames * len(accels), seed=scenario.workload_seed
-        )
-    raise KeyError(f"unknown workload {scenario.workload!r}")
-
-
 def _run_trial(payload: dict) -> dict:
     """Run one campaign trial (worker entry point; primitives in and out)."""
     from ..apps import JobRunner, golden_outputs
+    from ..apps.workloads import workload_jobs
     from ..core import recovery_preset
     from ..kernel import Simulator, ns
     from .injector import FaultInjector
 
     netlist, info = _build_system(payload["scenario"])
-    jobs = _make_jobs(payload["scenario"])
+    scenario = CampaignScenario.from_dict(payload["scenario"])
+    jobs = workload_jobs(
+        scenario.workload, scenario.accels, scenario.n_frames, seed=scenario.workload_seed
+    )
     sim = Simulator()
     design = netlist.elaborate(sim)
     drcf = design[info.drcf_name]

@@ -16,7 +16,7 @@ Construction helpers mirror the ``sc_time`` units::
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 #: Number of femtoseconds per unit, keyed by unit name.
@@ -196,11 +196,15 @@ def sec(value: Union[int, float]) -> SimTime:
     return SimTime(value, "s")
 
 
+@lru_cache(maxsize=None)
 def cycles_to_time(n_cycles: int, frequency_hz: float) -> SimTime:
     """Duration of ``n_cycles`` clock cycles at ``frequency_hz``.
 
     Rounds to the femtosecond resolution; used throughout the timing models
-    to convert cycle-count estimates into kernel time.
+    to convert cycle-count estimates into kernel time.  Memoized: the
+    models ask for a few cycle counts at a few fixed clocks over and over,
+    and a :class:`SimTime` is immutable, so a repeated call returns the
+    same object.
     """
     if frequency_hz <= 0:
         raise ValueError("frequency must be positive")

@@ -2,8 +2,9 @@
 
 :class:`VcdTracer` writes a minimal Value Change Dump file for the signals
 registered with it, mirroring ``sc_trace``.  :class:`TimelineRecorder`
-collects (time, label, payload) rows in memory for the utilization/timeline
-reports used by the experiment harness.
+collects labelled intervals in memory, ``(start_fs, end_fs, track,
+label)`` rows, for the DRCF's per-context activity timelines
+(:class:`~repro.core.stats.DrcfStats`).
 """
 
 from __future__ import annotations
@@ -94,8 +95,9 @@ class VcdTracer:
 class TimelineRecorder:
     """Collects labelled intervals for activity/utilization reports.
 
-    Used by the DRCF instrumentation and the bus monitor to produce the
-    per-context activity timelines reported by the experiment harness.
+    Used by the DRCF instrumentation (``DrcfStats.timeline``) for the
+    per-context activity timelines reported by the experiment harness; the
+    bus monitor keeps its own log (:class:`~repro.bus.monitor.BusMonitor`).
     """
 
     def __init__(self) -> None:

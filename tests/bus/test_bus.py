@@ -583,6 +583,52 @@ class TestSharedMasterLabel:
         assert bus.arbiter.waiters == []
 
 
+class _WaitStateMemory(Memory):
+    """A memory whose every read adds a 100-ns wait state."""
+
+    closed_read = None  # the closed forms could not book the wait state
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def read(self, addr, count=1):
+        self.calls += 1
+        yield ns(100)
+        data = yield from super().read(addr, count)
+        return data
+
+
+class TestSlaveReadOverride:
+    """The bus reads a memory through its ``read``, as any slave: a
+    subclass's override runs on every transfer."""
+
+    def make(self, sim):
+        bus = Bus("bus", sim=sim, clock_freq_hz=100e6)
+        mem = _WaitStateMemory("mem", sim=sim, base=0, size_words=64, clock_freq_hz=100e6)
+        bus.register_slave(mem)
+        return bus, mem
+
+    def test_single_read_runs_the_override(self, sim):
+        bus, mem = self.make(sim)
+        drive(sim, lambda: bus.read(0, 4, master="cpu"))
+        sim.run()
+        # address phase 10 + memory (2 + 3) x 10 + data 4 x 10 + wait state 100
+        assert sim.now == ns(200)
+        assert mem.calls == 1
+
+    def test_every_burst_of_a_train_runs_the_override(self, sim):
+        bus, mem = self.make(sim)
+        box = drive(sim, lambda: bus.read(0, 8, master="cfg", burst=2))
+        sim.run()
+        # 4 bursts of (10 + 30 + 20 + 100) ns, none booked in closed form.
+        assert sim.now == ns(640)
+        assert mem.calls == 4
+        assert box.value == [0] * 8
+        assert bus.closed_form_declines["slave"] == 4
+        assert bus.closed_form_bursts == 0
+
+
 class TestMonitorIntegration:
     def test_transactions_recorded_with_tags(self, sim):
         bus, _ = make_system(sim)

@@ -1,6 +1,9 @@
 """The campaign engine: fault grid, trial classification, reporting."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +127,23 @@ class TestValidation:
     def test_rejects_unknown_recovery_presets(self):
         with pytest.raises(KeyError, match="unknown recovery preset"):
             run_campaign(SCENARIOS["minimal"], trials=1, seed=1, recovery="heroic")
+
+
+def test_campaign_loads_neither_dse_nor_lint():
+    """A campaign builds its workload schedule without the DSE layer, so
+    its set-up pays for neither that layer nor the linter it imports."""
+    probe = (
+        "import sys\n"
+        "from repro.faults import SCENARIOS, run_campaign\n"
+        "run_campaign(SCENARIOS['minimal'], trials=1, seed=1)\n"
+        "print(sorted(m for m in ('repro.dse', 'repro.analysis.lint') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -118,10 +118,32 @@ class TestCyclesToTime:
         assert cycles_to_time(0, 1e6) == ZERO_TIME
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            cycles_to_time(1, 0)
-        with pytest.raises(ValueError):
-            cycles_to_time(-1, 1e6)
+        for n_cycles, frequency_hz in ((1, 0), (-1, 1e6)):
+            for _ in range(2):  # raised on every call, not only the first
+                with pytest.raises(ValueError):
+                    cycles_to_time(n_cycles, frequency_hz)
+
+    def test_repeated_call_returns_the_same_object(self):
+        assert cycles_to_time(37, 133e6) is cycles_to_time(37, 133e6)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 10**6),
+                st.one_of(
+                    st.sampled_from([100e6, 133e6, 200e6]),
+                    st.integers(1, 10**10),
+                    st.floats(1e3, 1e10),
+                ),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_memo_matches_the_formula(self, calls):
+        for n_cycles, frequency_hz in calls + calls[::-1]:  # each pair twice
+            expected = int(round(n_cycles * 1e15 / frequency_hz))
+            assert cycles_to_time(n_cycles, frequency_hz).femtoseconds == expected
 
 
 class TestProperties:

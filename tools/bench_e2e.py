@@ -12,10 +12,15 @@ before and after numbers of a change come from the same script:
     python tools/bench_e2e.py --label parent --seed 42 --repo ../parent-checkout
 
 A record is keyed by (label, seed); measuring the same pair again replaces
-it.  The benchmark runs from the measured checkout's own ``perfbench/``.
-When tracked files differ from the revision, the record also stores
-``diff_sha1``, the SHA-1 of ``git diff HEAD`` without the output file,
-which tells measured uncommitted trees apart.
+it.  The benchmark runs from the measured checkout's own ``perfbench/``,
+after ``python -m compileall -q src perfbench`` in that checkout: the
+benchmark's set-up probes each start a fresh interpreter, which would
+otherwise compile every module it imports whenever no current ``.pyc``
+exists (always, where ``PYTHONDONTWRITEBYTECODE`` is set), and
+``setup_s`` would measure the compiler.  When tracked files differ from
+the revision, the record also stores ``diff_sha1``, the SHA-1 of ``git
+diff HEAD`` without the output file, which tells measured uncommitted
+trees apart.
 """
 
 from __future__ import annotations
@@ -51,6 +56,16 @@ def uncommitted_diff(repo: Path, out: Path) -> bytes:
     if out.resolve().is_relative_to(repo):
         paths.append(f":(exclude){out.resolve().relative_to(repo)}")
     return git(repo, "diff", "HEAD", "--", *paths)
+
+
+def byte_compile(repo: Path) -> None:
+    """Write current ``.pyc`` files for the code the benchmark measures.
+
+    ``compileall`` writes them even under ``PYTHONDONTWRITEBYTECODE``.
+    """
+    subprocess.run(
+        [sys.executable, "-m", "compileall", "-q", "src", "perfbench"], cwd=repo, check=True
+    )
 
 
 def run_once(repo: Path, seed: int) -> dict:
@@ -112,6 +127,7 @@ def main(argv=None) -> int:
     dirty = f" (dirty, diff {record['diff_sha1'][:12]})" if record["dirty"] else ""
     print(f"{args.label}: {record['revision'][:12]}{dirty}, "
           f"seed {args.seed}, {RUNS} runs")
+    byte_compile(repo)
     runs = []
     for i in range(RUNS):
         runs.append(run_once(repo, args.seed))

@@ -70,7 +70,9 @@ def generate() -> str:
         lines.append("| name | kind | summary |")
         lines.append("|---|---|---|")
         for name in getattr(module, "__all__", []):
-            obj = getattr(module, name)
+            # A decorated function (e.g. a memoized one) is classified by
+            # the function it wraps.
+            obj = inspect.unwrap(getattr(module, name))
             kind = _kind(obj)
             summary = _first_line(obj) if kind != "constant" else "constant value."
             summary = summary.replace("|", "\\|")
