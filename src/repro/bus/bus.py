@@ -24,26 +24,30 @@ Every transfer runs through one loop, :meth:`Bus._transfer`, which moves
 ``count`` words in bursts: ``Bus.read(..., burst=n)`` issues a *burst
 train* (the DRCF's configuration fetch), and a plain read or write is the
 loop's one-iteration case.  Each burst is issued, arbitrated, decoded
-after its grant, timed phase by phase and recorded as its own
-:class:`Transaction`, exactly like a separate read, and calls its slave
-through the slave's ``read``/``write`` method, whatever the slave is.
+after its grant, timed phase by phase, exactly like a separate read, and
+recorded in the monitor as a one-read
+:class:`~repro.bus.monitor.TrainRecord`, its times taken off the kernel's
+integer clock; it calls its slave through the slave's ``read``/``write``
+method, whatever the slave is.
 
 While the fetching master is alone, a train runs in closed form: at the
 top of a burst, :meth:`Bus._closed_form` books as many whole bursts as
 end within the kernel's :meth:`Simulator.alone_horizon
-<repro.kernel.Simulator.alone_horizon>` in one step (the skipped kernel
-round trips, the arbiter's grants, the slave's per-call records, one
-slice of its words and one monitor
-:class:`~repro.bus.monitor.TrainRecord`), with the same times, counters
-and data as burst by burst (docs/KERNEL.md, "Closed-form trains").  A
-burst it declines, counted by reason in :attr:`Bus.closed_form_declines`,
-waits out its phases through the kernel, as single transfers do.
+<repro.kernel.Simulator.alone_horizon>` in one step, and a partial last
+burst as a read of its own, with the same times, counters and data as
+burst by burst (docs/KERNEL.md, "Closed-form trains").  A burst it
+declines, counted by reason in :attr:`Bus.closed_form_declines`, waits
+out its phases through the kernel, as single transfers do.
 
 A CPU's STATUS poll loop runs in closed form the same way:
 :meth:`Bus.book_polls` books every poll before the polled word can next
-change as one train record of stride 0.  Both closed forms read the slave
-through its optional :attr:`~repro.bus.interfaces.BusSlaveIf.closed_read`
-and nothing else of it.
+change.  Both closed forms book through one step, :meth:`Bus._book`,
+which owns the count rule and books the skipped kernel round trips, the
+arbiter's grants, the slave's per-call records and one monitor record
+(of stride 0 and a gap of one poll interval for a poll train).  They read
+the slave through its optional
+:attr:`~repro.bus.interfaces.BusSlaveIf.closed_read` and nothing else of
+it.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .arbiter import Arbiter
 from .interfaces import (
     BusMasterIf,
     BusSlaveIf,
-    Transaction,
     check_range,
     check_timing,
     normalize_write_data,
@@ -288,8 +291,9 @@ class Bus(Module, BusMasterIf):
         """The transfer loop: ``count`` words in bursts of at most ``burst``.
 
         Each burst is issued, arbitrated, decoded after its grant, timed
-        phase by phase and recorded as one :class:`Transaction`; a single
-        transfer is the one-iteration case.  The slave is called through
+        phase by phase and recorded as a one-read
+        :class:`~repro.bus.monitor.TrainRecord`; a single transfer is the
+        one-iteration case.  The slave is called through
         its ``read`` or ``write`` method.  In a train of several bursts,
         each burst first offers itself to :meth:`_closed_form`, which
         books it and the bursts after it at once while the fetching master
@@ -302,6 +306,7 @@ class Bus(Module, BusMasterIf):
         split = self.protocol == "split"
         address_phase = self.cycles(self.address_phase_cycles)
         request_beat = self.cycles(1) if split else None
+        tags = tuple(tags)
         train = count > burst
         if train:
             stride = burst * self.word_bytes
@@ -323,11 +328,11 @@ class Bus(Module, BusMasterIf):
                     addr += taken * self.word_bytes
                     continue
             n = burst if count > burst else count
-            issued_at = sim.now
+            issued_fs = sim._now_fs
             if arbiter.try_acquire(master):
                 # Uncontended: granted in the same instant, so the decode
                 # above still holds.
-                granted_at = issued_at
+                granted_fs = issued_fs
             else:
                 grant = arbiter.enqueue(master, priority)
                 try:
@@ -335,7 +340,7 @@ class Bus(Module, BusMasterIf):
                 except GeneratorExit:
                     arbiter.withdraw(master, grant)  # killed while queued
                     raise
-                granted_at = sim.now
+                granted_fs = sim._now_fs
                 # Decode again now that the grant is held: the DRCF model
                 # transformation may have swapped the slave map while this
                 # master waited out arbitration, and the transfer must
@@ -380,16 +385,18 @@ class Bus(Module, BusMasterIf):
                     # silently dropping them would corrupt the monitor's
                     # occupancy and contention accounting.
                     self.monitor.record(
-                        Transaction(
+                        TrainRecord(
                             kind=kind,
                             master=master,
                             slave=self._slave_name(slave),
                             addr=addr,
-                            words=n,
-                            issued_at=issued_at,
-                            granted_at=granted_at,
-                            completed_at=sim.now,
-                            tags=list(tags),
+                            stride=0,
+                            burst_words=n,
+                            bursts=1,
+                            start_fs=issued_fs,
+                            burst_fs=sim._now_fs - granted_fs,
+                            tags=tags,
+                            wait_fs=granted_fs - issued_fs,
                             status=status,
                         )
                     )
@@ -420,13 +427,12 @@ class Bus(Module, BusMasterIf):
         completion and lasts its phases (:meth:`_read_fs`), the very
         memoized durations the per-phase loop waits on, with the slave's
         access time from its
-        :attr:`~repro.bus.interfaces.BusSlaveIf.closed_read`.  The largest
-        number of whole bursts that end within the kernel's
-        :meth:`~repro.kernel.Simulator.alone_horizon` (and whose phase
-        waits stay within its ``max_waits``) is booked in one step: the
-        kernel round trips, the arbiter grants, the slave's per-call
-        records, one slice of its words and one
-        :class:`~repro.bus.monitor.TrainRecord`.
+        :attr:`~repro.bus.interfaces.BusSlaveIf.closed_read`.
+        :meth:`_book` books as many of the full bursts as fit the kernel's
+        :meth:`~repro.kernel.Simulator.alone_horizon`; when all of them
+        fit, a second booking takes the partial last burst, if any, as a
+        one-read record of its own.  One slice of the slave's words covers
+        both.
 
         Declines, counted by reason in :attr:`closed_form_declines`, leave
         the burst to the per-phase loop: the arbiter is held or queued
@@ -454,56 +460,23 @@ class Bus(Module, BusMasterIf):
                 if horizon is None:
                     reason = "not_alone"
         if reason is None:
-            access, words, book = answer
-            last_wake_fs, max_waits = horizon
-            call_fs, waits, grants = self._read_phases
             full, rest = divmod(count, burst)
-            full_fs = self._read_fs(burst, access(burst))
-            last_fs = self._read_fs(rest, access(rest)) if rest else full_fs
-            start_fs = self.sim.now.femtoseconds
-            # k: the most bursts whose waits fit max_waits and whose end
-            # fits last_wake_fs (the full ones, then the partial last one).
-            k = full + (rest > 0)
-            if max_waits is not None:
-                k = min(k, max_waits // waits)
-            if last_wake_fs is not None:
-                span = last_wake_fs - start_fs
-                if k > full and full * full_fs + last_fs > span:
-                    k = full  # the partial last burst does not fit
-                if k <= full and k * full_fs > span:
-                    k = span // full_fs if span >= 0 else 0
-            if k <= 0:
+            stride = burst * word_bytes
+            k = self._book(horizon, full, answer, slave, addr, stride, burst, None, master, tags)
+            if k == full and rest:
+                # The partial last burst, from where the full ones end,
+                # within what their waits left of the horizon.
+                horizon = self.sim.alone_horizon()
+                addr += full * stride
+                k += self._book(horizon, 1, answer, slave, addr, stride, rest, None, master, tags)
+            if not k:
                 reason = "horizon"
         if reason is not None:
             self.closed_form_declines[reason] += 1
             return None
-        call_fs += start_fs  # the first burst's slave call
-        if k > full:
-            taken, end_fs = count, start_fs + full * full_fs + last_fs
-            book(full, burst, call_fs, full_fs)
-            book(1, rest, call_fs + full * full_fs, last_fs)
-        else:
-            taken, end_fs, last_fs = k * burst, start_fs + k * full_fs, full_fs
-            book(k, burst, call_fs, full_fs)
-        self.sim.book_alone(k * waits, end_fs)
-        self.arbiter.book_grants(master, k * grants)
-        self.monitor.record_train(
-            TrainRecord(
-                kind="read",
-                master=master,
-                slave=self._slave_name(slave),
-                addr=addr,
-                stride=burst * word_bytes,
-                burst_words=burst,
-                words=taken,
-                start_fs=start_fs,
-                burst_fs=full_fs,
-                last_fs=last_fs,
-                tags=tuple(tags),
-            )
-        )
         self.closed_form_bursts += k
-        return words(taken)
+        _, words, _ = answer
+        return words(min(k * burst, count))
 
     def book_polls(
         self,
@@ -524,12 +497,8 @@ class Bus(Module, BusMasterIf):
         :meth:`~repro.kernel.Simulator.alone_horizon`: whatever changes it,
         the accelerator's completion or another master's write, runs at a
         timed action or after one.  So if the word fails the mask now, it
-        fails it at every poll that ends by the horizon, and those polls
-        are booked in one step: their kernel round trips (4 waits a poll
-        under ``split``, 3 under ``blocking``, one more for the interval),
-        their arbiter grants (2 a poll under ``split``, 1 under
-        ``blocking``), the slave's per-call records and one
-        :class:`~repro.bus.monitor.TrainRecord` of stride 0 whose
+        fails it at every poll that ends by the horizon, and :meth:`_book`
+        books those polls in one step, as one record of stride 0 whose
         ``gap_fs`` is the interval.  The caller counts its own reads and
         compute cycles.
 
@@ -547,22 +516,15 @@ class Bus(Module, BusMasterIf):
         if not self.arbiter.idle:
             declines["contended"] += 1
             return 0
-        sim = self.sim
-        horizon = sim.alone_horizon()
+        horizon = self.sim.alone_horizon()
         if horizon is None:
             declines["not_alone"] += 1
             return 0
         last_wake_fs, max_waits = horizon
-        call_fs, waits, grants = self._read_phases
-        bus_fs = self._read_fs(1, 0)  # the poll's read without the slave's access
-        gap_fs = 0
-        if interval_fs is not None:
-            gap_fs = interval_fs
-            waits += 1
-        start_fs = sim.now.femtoseconds
-        span = None if last_wake_fs is None else last_wake_fs - start_fs
+        waits = self._read_phases[1] + (interval_fs is not None)
         if (max_waits is not None and max_waits < waits) or (
-            span is not None and span < bus_fs + gap_fs
+            last_wake_fs is not None
+            and last_wake_fs - self.sim._now_fs < self._read_fs(1, 0) + (interval_fs or 0)
         ):
             declines["horizon"] += 1
             return 0
@@ -578,40 +540,81 @@ class Bus(Module, BusMasterIf):
         if answer is None:
             declines["read_filter"] += 1
             return 0
-        access, words, book = answer
+        _, words, _ = answer
         if words(1)[0] & mask == expect:
             declines["done"] += 1
             return 0
-        read_fs = bus_fs + access(1)
-        poll_fs = read_fs + gap_fs
-        k = max_polls
+        k = self._book(horizon, max_polls, answer, slave, addr, 0, 1, interval_fs, master, ())
+        if not k:
+            declines["horizon"] += 1
+        self.closed_form_polls += k
+        return k
+
+    def _book(
+        self,
+        horizon: tuple,
+        most: int,
+        answer: tuple,
+        slave: BusSlaveIf,
+        addr: int,
+        stride: int,
+        n: int,
+        interval_fs: Optional[int],
+        master: str,
+        tags: Sequence[str],
+    ) -> int:
+        """Book up to ``most`` ``n``-word reads in closed form; how many.
+
+        The reads start now and read ``slave``, which gave ``answer`` to
+        :attr:`~repro.bus.interfaces.BusSlaveIf.closed_read`, from ``addr``
+        on, ``stride`` bytes apart; each is followed by ``interval_fs`` of
+        the master's compute (None: none, and no wait for it).  Read ``i``
+        starts ``i`` periods from now, a period being the read's phases
+        (:meth:`_read_fs`) and the interval.  The count rule takes the
+        most reads that fit the kernel's ``horizon`` (an
+        :meth:`~repro.kernel.Simulator.alone_horizon`): ``k = min(most,
+        max_waits // waits, (last_wake_fs - now) // period)``, where a read
+        takes ``waits`` kernel waits, and a read of no duration fits when
+        it starts by ``last_wake_fs``.  The booking records exactly what
+        ``k`` kernel round trips record: the waits (``book_alone``), the
+        arbiter's grants (``book_grants``), the slave's per-call records
+        (its ``book``) and one monitor :class:`~repro.bus.monitor.TrainRecord`.
+        """
+        access, _, book = answer
+        last_wake_fs, max_waits = horizon
+        call_fs, waits, grants = self._read_phases
+        read_fs = self._read_fs(n, access(n))
+        gap_fs = interval_fs or 0
+        if interval_fs is not None:
+            waits += 1
+        period_fs = read_fs + gap_fs
+        sim = self.sim
+        start_fs = sim._now_fs
+        k = most
         if max_waits is not None:
             k = min(k, max_waits // waits)
-        if span is not None and poll_fs:
-            k = min(k, span // poll_fs)
+        if last_wake_fs is not None and (period_fs or start_fs > last_wake_fs):
+            k = min(k, (last_wake_fs - start_fs) // (period_fs or 1))
         if k <= 0:
-            declines["horizon"] += 1
             return 0
-        sim.book_alone(k * waits, start_fs + k * poll_fs)
+        sim.book_alone(k * waits, start_fs + k * period_fs)
         self.arbiter.book_grants(master, k * grants)
-        book(k, 1, start_fs + call_fs, poll_fs)
-        self.monitor.record_train(
+        book(k, n, start_fs + call_fs, period_fs)
+        self.monitor.record(
             TrainRecord(
                 kind="read",
                 master=master,
                 slave=self._slave_name(slave),
                 addr=addr,
-                stride=0,
-                burst_words=1,
-                words=k,
+                stride=stride,
+                burst_words=n,
+                bursts=k,
                 start_fs=start_fs,
                 burst_fs=read_fs,
-                last_fs=read_fs,
-                tags=(),
+                tags=tags,
                 gap_fs=gap_fs,
             )
         )
-        self.closed_form_polls += k
         return k
 
     def _read_fs(self, n: int, access_fs: int) -> int:

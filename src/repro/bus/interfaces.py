@@ -114,7 +114,7 @@ class InterruptIf(Interface):
 
 @dataclass(slots=True)
 class Transaction:
-    """One completed bus transfer, as recorded by the bus monitor."""
+    """One completed bus transfer, as ``BusMonitor.transactions`` lists it."""
 
     kind: str  # "read" | "write"
     master: str

@@ -1,25 +1,26 @@
 """Bus traffic monitor.
 
-Collects every completed :class:`~repro.bus.interfaces.Transaction` and
-aggregates the statistics the paper's methodology is built to expose: the
-memory-bus traffic generated by context switching (Section 5.3) alongside
-ordinary data traffic, so design-space exploration can weigh reconfiguration
-cost against computation.
+Collects every completed bus transfer and aggregates the statistics the
+paper's methodology is built to expose: the memory-bus traffic generated
+by context switching (Section 5.3) alongside ordinary data traffic, so
+design-space exploration can weigh reconfiguration cost against
+computation.
 
-The log is one ordered list of entries: single transactions and
-:class:`TrainRecord` s.  A train record stands for the transfers the bus
-booked in closed form (see :mod:`repro.bus.bus`): the bursts of an
-uncontended burst train, or the reads of a poll train, one every poll
-interval.  Every aggregate query reads it directly, and
-:attr:`BusMonitor.transactions` expands it into the per-transfer
-transactions the same transfers record when they run through the kernel.
+The log is one ordered list of :class:`TrainRecord` s, each of them
+``bursts`` equal reads of one master.  A transfer that ran through the
+kernel is a one-read record; a closed-form booking of the bus (see
+:mod:`repro.bus.bus`) is one record for all the reads it booked: the
+bursts of an uncontended burst train, or the reads of a poll train, one
+every poll interval.  Every aggregate query reads the records directly,
+and :attr:`BusMonitor.transactions` expands them into the per-transfer
+:class:`~repro.bus.interfaces.Transaction` s.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..kernel import SimTime, ZERO_TIME
 from .interfaces import Transaction
@@ -27,15 +28,18 @@ from .interfaces import Transaction
 
 @dataclass(slots=True)
 class TrainRecord:
-    """Evenly spaced bursts of one master, recorded as one monitor entry.
+    """Evenly spaced, equal transfers of one master, as one monitor entry.
 
-    Burst ``i`` is issued and granted at ``start_fs + i * (burst_fs +
-    gap_fs)`` (a burst of an uncontended train waits for nothing), reads
-    ``burst_words`` words from ``addr + i * stride``, and takes
-    ``burst_fs``; the last burst reads what is left of ``words`` and takes
-    ``last_fs``.  A burst train's bursts follow each other back to back
-    (``gap_fs`` 0); a poll train's one-word reads of one address (stride
-    0) are ``gap_fs`` apart, the poll interval.
+    Of the ``bursts`` transfers, transfer ``i`` is issued at ``start_fs +
+    i * (wait_fs + burst_fs + gap_fs)``, is granted ``wait_fs`` later,
+    moves ``burst_words`` words at ``addr + i * stride`` and occupies the
+    bus for ``burst_fs``.  A transfer that ran through the kernel is a
+    one-read record, whatever its wait and status; the bursts of a
+    closed-form burst train follow each other back to back (``gap_fs``
+    0), and a poll train's one-word reads of one address (stride 0) are
+    ``gap_fs`` apart, the poll interval.  The bus books only uncontended,
+    completed transfers in closed form, so a record of several reads
+    waits 0 and is ``"ok"``.
     """
 
     kind: str
@@ -44,86 +48,71 @@ class TrainRecord:
     addr: int
     stride: int
     burst_words: int
-    #: Words of all the bursts together.
-    words: int
+    bursts: int
     start_fs: int
     burst_fs: int
-    last_fs: int
     tags: Tuple[str, ...]
-    #: Idle bus time between one burst's completion and the next's issue.
+    #: Arbitration wait of each transfer, from issue to grant.
+    wait_fs: int = 0
+    #: Idle bus time between one transfer's completion and the next's issue.
     gap_fs: int = 0
-    #: Only completed bursts are booked in closed form.
-    status = "ok"
+    #: "ok" for completed transfers; "error" when the slave call raised.
+    status: str = "ok"
 
     @property
-    def bursts(self) -> int:
-        return -(-self.words // self.burst_words)
+    def words(self) -> int:
+        """Words of all the transfers together."""
+        return self.bursts * self.burst_words
 
     @property
     def busy_fs(self) -> int:
-        """Bus occupancy of all the bursts."""
-        return (self.bursts - 1) * self.burst_fs + self.last_fs
-
-    def has_tag(self, tag: str) -> bool:
-        return tag in self.tags
+        """Bus occupancy of all the transfers."""
+        return self.bursts * self.burst_fs
 
     def expand(self) -> Iterator[Transaction]:
-        """The per-burst transactions, in order, each with its own tag list."""
-        last = self.bursts - 1
-        issued = SimTime.from_fs(self.start_fs)
-        for i in range(last + 1):
-            if i < last:
-                words, duration = self.burst_words, self.burst_fs
-            else:
-                words, duration = self.words - last * self.burst_words, self.last_fs
-            completed = SimTime.from_fs(issued.femtoseconds + duration)
+        """The per-transfer transactions, in order, each with its own tag list."""
+        wait, duration = self.wait_fs, self.burst_fs
+        period = wait + duration + self.gap_fs
+        for i in range(self.bursts):
+            issued_fs = self.start_fs + i * period
             yield Transaction(
                 kind=self.kind,
                 master=self.master,
                 slave=self.slave,
                 addr=self.addr + i * self.stride,
-                words=words,
-                issued_at=issued,
-                granted_at=issued,
-                completed_at=completed,
+                words=self.burst_words,
+                issued_at=SimTime.from_fs(issued_fs),
+                granted_at=SimTime.from_fs(issued_fs + wait),
+                completed_at=SimTime.from_fs(issued_fs + wait + duration),
                 tags=list(self.tags),
+                status=self.status,
             )
-            issued = SimTime.from_fs(completed.femtoseconds + self.gap_fs)
 
 
 class BusMonitor:
-    """Accumulates transactions and serves aggregate queries."""
+    """Accumulates transfer records and serves aggregate queries."""
 
     def __init__(self, name: str = "monitor") -> None:
         self.name = name
-        self._log: List[Union[Transaction, TrainRecord]] = []
+        self._log: List[TrainRecord] = []
         self._count = 0
         self._busy_fs = 0
 
     # -- recording -----------------------------------------------------------
-    def record(self, txn: Transaction) -> None:
-        """Record one completed transaction (called by the bus)."""
-        self._log.append(txn)
-        self._count += 1
-        self._busy_fs += txn.completed_at.femtoseconds - txn.granted_at.femtoseconds
-
-    def record_train(self, train: TrainRecord) -> None:
-        """Record the bursts of a closed-form train as one entry, counted
-        and timed as its expanded bursts would be."""
-        self._log.append(train)
-        self._count += train.bursts
-        self._busy_fs += train.busy_fs
+    def record(self, entry: TrainRecord) -> None:
+        """Record completed transfers (called by the bus), counted and
+        timed as their expansion would be."""
+        self._log.append(entry)
+        self._count += entry.bursts
+        self._busy_fs += entry.busy_fs
 
     @property
     def transactions(self) -> List[Transaction]:
-        """Every recorded transaction in order, train records expanded
-        burst by burst (a new list on every read)."""
+        """Every recorded transfer in order, each record expanded transfer
+        by transfer (a new list on every read)."""
         out: List[Transaction] = []
         for entry in self._log:
-            if type(entry) is TrainRecord:
-                out += entry.expand()
-            else:
-                out.append(entry)
+            out += entry.expand()
         return out
 
     # -- aggregate queries -------------------------------------------------------
@@ -134,7 +123,7 @@ class BusMonitor:
     @property
     def error_count(self) -> int:
         """Transactions whose slave call raised (recorded with status="error")."""
-        return sum(1 for t in self._log if t.status != "ok")
+        return sum(t.bursts for t in self._log if t.status != "ok")
 
     @property
     def total_words(self) -> int:
@@ -143,10 +132,10 @@ class BusMonitor:
 
     def words_by_tag(self, tag: str) -> int:
         """Words moved by transactions carrying ``tag`` (e.g. ``"config"``)."""
-        return sum(t.words for t in self._log if t.has_tag(tag))
+        return sum(t.words for t in self._log if tag in t.tags)
 
     def words_without_tag(self, tag: str) -> int:
-        return sum(t.words for t in self._log if not t.has_tag(tag))
+        return sum(t.words for t in self._log if tag not in t.tags)
 
     def words_by_master(self) -> Dict[str, int]:
         out: Dict[str, int] = defaultdict(int)
@@ -175,21 +164,14 @@ class BusMonitor:
         total = count = 0
         for t in self._log:
             if master is None or t.master == master:
-                if type(t) is TrainRecord:
-                    count += t.bursts  # each burst waited 0
-                else:
-                    total += t.arbitration_wait.femtoseconds
-                    count += 1
+                total += t.bursts * t.wait_fs
+                count += t.bursts
         if not count:
             return ZERO_TIME
         return SimTime.from_fs(int(total / count))
 
     def max_arbitration_wait(self) -> SimTime:
-        if not self._log:
-            return ZERO_TIME
-        return SimTime.from_fs(
-            max(0 if type(t) is TrainRecord else t.arbitration_wait.femtoseconds for t in self._log)
-        )
+        return SimTime.from_fs(max((t.wait_fs for t in self._log), default=0))
 
     def reset(self) -> None:
         """Discard all recorded transactions (between experiment phases)."""

@@ -313,7 +313,7 @@ class Drcf(Module, BusSlaveIf):
         loading), the fabric lock is free, and the read is not a burst
         from a context loaded corrupted, which the SDC flip changes.  Each
         call books what :meth:`_routed_call` records: the LRU touch and
-        :meth:`DrcfStats.record_active`.  Nothing switches the context
+        :meth:`DrcfStats.record_active_calls`.  Nothing switches the context
         before the horizon: a switch needs a call, and a call a process."""
         scheduler = self.scheduler
         context = scheduler.active
@@ -340,7 +340,7 @@ class Drcf(Module, BusSlaveIf):
         yield from self._fabric_lock.lock(context.name)
         try:
             yield from self.scheduler.ensure_active(context)
-            start = self.sim.now
+            start_fs = self.sim._now_fs
             if kind == "read":
                 result = yield from context.module.read(addr, count)
                 if (
@@ -358,7 +358,8 @@ class Drcf(Module, BusSlaveIf):
                     result[0] ^= _SDC_BIT
             else:
                 result = yield from context.module.write(addr, data)
-            self.stats.record_active(context.name, start, self.sim.now)
+            duration_fs = self.sim._now_fs - start_fs
+            self.stats.record_active_calls(context.name, start_fs, duration_fs, 0, 1)
             return result
         finally:
             self._fabric_lock.unlock()

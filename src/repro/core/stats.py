@@ -88,18 +88,13 @@ class DrcfStats:
             self._start_time = now
         self._end_time = now
 
-    def record_active(self, name: str, start: SimTime, end: SimTime) -> None:
-        cs = self.per_context[name]
-        cs.calls += 1
-        cs.active_time = cs.active_time + (end - start)
-        self.timeline.record(start, end, "active", name)
-        self.note_time(end)
-
     def record_active_calls(
         self, name: str, start_fs: int, duration_fs: int, period_fs: int, calls: int
     ) -> None:
-        """What ``calls`` :meth:`record_active` calls of ``duration_fs``
-        each record, call ``i`` starting at ``start_fs + i * period_fs``."""
+        """Record ``calls`` interface-method calls forwarded to ``name``,
+        each active for ``duration_fs``, call ``i`` starting at ``start_fs
+        + i * period_fs``: their count, active time and timeline rows, and
+        the observation window."""
         cs = self.per_context[name]
         cs.calls += calls
         cs.active_time = cs.active_time + SimTime.from_fs(calls * duration_fs)

@@ -424,6 +424,25 @@ class TestBurstTrain:
         assert all(t.tags == ["config"] for t in bus.monitor.transactions)
         assert mem.read_word_count == 100
 
+    def test_closed_form_books_the_partial_last_burst_in_the_same_call(self, sim):
+        """While the master is alone, one closed-form call books the full
+        bursts and then the partial last burst, as a one-read record of its
+        own, and returns all their words as one slice."""
+        bus, mem = make_system(sim)
+        mem.poke(0x1000, list(range(100)))
+        booked = []
+
+        def body():
+            booked.append(bus._closed_form(0x1000, 100, 32, "cfg", ("config",), mem))
+            yield ns(1)
+
+        sim.spawn("p", body)
+        sim.run()
+        assert booked == [list(range(100))]
+        log = [(e.addr, e.bursts, e.burst_words) for e in bus.monitor._log]
+        assert log == [(0x1000, 3, 32), (0x1180, 1, 4)]
+        assert bus.closed_form_bursts == 4
+
     @pytest.mark.parametrize("protocol", ["blocking", "split"])
     def test_train_matches_separate_burst_reads(self, protocol):
         """A train is timed, arbitrated and counted exactly like a loop

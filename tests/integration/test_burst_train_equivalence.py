@@ -2,10 +2,11 @@
 
 A configuration fetch is one burst train (``Bus.read(..., burst=n)``).
 While the fetching process is alone on the timeline, the bus books whole
-bursts of it in closed form (``Bus._closed_form``): one horizon check,
-one booking of the skipped kernel round trips, one memory slice and one
-monitor record.  A burst the closed form declines waits out its phases
-through the kernel.  Each design here runs two ways:
+bursts of it in closed form (``Bus._closed_form``): the skipped kernel
+round trips, one memory slice and one monitor record for the bursts that
+fit the horizon, and a one-read record of its own for a partial last
+burst.  A burst the closed form declines waits out its phases through the
+kernel.  Each design here runs two ways:
 
 * ``closed``: as is;
 * ``round_trip``: a no-op hook in ``sim.trace_hooks``, which turns the
@@ -31,7 +32,7 @@ from repro.apps import (
     make_multi_fabric_netlist,
     make_reconfigurable_netlist,
 )
-from repro.bus import Bus, Memory, TrainRecord
+from repro.bus import Bus, Memory
 from repro.core import Drcf
 from repro.faults import FAULT_KINDS, CampaignScenario, FaultInjector, FaultSpec
 from repro.faults.campaign import _run_trial, build_fault_grid
@@ -64,12 +65,13 @@ def _modules(sim):
 
 def _poll_waits(bus):
     """The waits of the polls ``bus`` booked in closed form: 3 per poll
-    under ``blocking``, 4 under ``split``, plus the interval's compute."""
+    under ``blocking``, 4 under ``split``, plus the interval's compute of
+    each poll of a train with an interval.  Those trains are the log's
+    records with a gap (a transfer that ran through the kernel, and a
+    burst train, have none)."""
     phases = 4 if bus.protocol == "split" else 3
-    return sum(
-        entry.bursts * (phases + (entry.gap_fs > 0))
-        for entry in bus.monitor._log
-        if type(entry) is TrainRecord and entry.stride == 0
+    return bus.closed_form_polls * phases + sum(
+        entry.bursts for entry in bus.monitor._log if entry.gap_fs > 0
     )
 
 
@@ -84,7 +86,7 @@ def _fingerprint(sim, runner=None):
         name = module.full_name
         if isinstance(module, Bus):
             monitor = module.monitor
-            # The aggregates first: they must come from the train records,
+            # The aggregates first: they must come from the log's records,
             # not from an expansion.
             aggregates = (
                 monitor.summary(),
@@ -401,8 +403,8 @@ def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=
     only waits that many ns.  The run stops at ``until`` (a snapshot is
     taken) and then runs to its end.
 
-    Returns each mode's fingerprint quadruple, and the closed-form declines
-    of the ``closed`` run."""
+    Returns each mode's fingerprint quadruple, and the ``closed`` run's
+    bus."""
     runs = {}
     for mode in MODES:
         sim = _simulator(mode)
@@ -439,8 +441,8 @@ def _train_runs(protocol, start, count, burst, *, others=(), pre_waits=0, until=
         seen["snapshot"] = snapshot
         runs[mode] = (seen, *books)
         if mode == "closed":
-            declines = bus.closed_form_declines
-    return runs, declines
+            closed_bus = bus
+    return runs, closed_bus
 
 
 def _transient_runs(target, at_ns, n_bursts, seed):
@@ -481,9 +483,9 @@ class TestTrainEdges:
         ``high`` fails to decode, and either error surfaces at the same
         burst and the same time."""
         assume(before + after > burst)
-        runs, declines = _train_runs(protocol, MEM_WORDS - before, before + after, burst)
+        runs, bus = _train_runs(protocol, MEM_WORDS - before, before + after, burst)
         _assert_equivalent(runs, engaged=False)
-        assert declines["range"] > 0
+        assert bus.closed_form_declines["range"] > 0
 
     @given(protocols, bursts, st.integers(2, 120), st.integers(0, 3000))
     @settings(deadline=None)
@@ -501,11 +503,20 @@ class TestTrainEdges:
         256 process executions and timed activations.  The closed form
         stops short of each check, and the burst it declines there waits
         out its phases through the kernel."""
-        runs, declines = _train_runs(
+        runs, bus = _train_runs(
             protocol, 0, n_bursts * burst, burst, pre_waits=pre_waits, max_wall_s=600.0
         )
         _assert_equivalent(runs)
-        assert declines["horizon"] > 0  # 258 waits or more: a check cut the train
+        assert bus.closed_form_declines["horizon"] > 0  # 258 waits or more: a check cut the train
+
+    def test_a_watchdog_check_between_the_full_bursts_and_the_partial_one(self):
+        """After 248 waits, the two full bursts use up the waits left
+        before the watchdog's next check: the partial last burst declines
+        ``horizon`` and waits out its phases through the kernel."""
+        runs, bus = _train_runs("blocking", 0, 2 * 4 + 1, 4, pre_waits=248, max_wall_s=600.0)
+        _assert_equivalent(runs)
+        assert bus.closed_form_bursts == 2
+        assert bus.closed_form_declines["horizon"] == 1
 
     @given(
         protocols, bursts, st.integers(2, MEM_WORDS // 2), st.lists(st.integers(0, 4000), max_size=4)
@@ -521,13 +532,17 @@ class TestTrainEdges:
     @given(protocols, st.integers(2, 16), st.integers(1, 15), st.integers(1, 15))
     @settings(deadline=None)
     def test_partial_last_burst(self, protocol, burst, full, rest):
+        """The closed form books the full bursts as one record and the
+        partial last burst as a one-read record of its own."""
         rest = 1 + (rest - 1) % (burst - 1)
-        runs, _ = _train_runs(protocol, 3, full * burst + rest, burst)
+        runs, bus = _train_runs(protocol, 3, full * burst + rest, burst)
         _assert_equivalent(runs)
         ((data, _),) = runs["closed"][0]["outcome"]
         assert data == list(range(3, 3 + full * burst + rest))
         _, transactions, _ = runs["closed"][0]["bus"]
         assert [t[4] for t in transactions] == [burst] * full + [rest]
+        log = [(entry.bursts, entry.burst_words, entry.addr) for entry in bus.monitor._log]
+        assert log == [(full, burst, 12), (1, rest, 12 + 4 * full * burst)]
 
     @given(
         st.sampled_from(["s0", "s1"]),

@@ -5,7 +5,7 @@ poll interval, until the word passes its mask.  While the polling CPU is
 alone on the timeline, the bus books every poll before the word can next
 change in one step (``Bus.book_polls``): the skipped kernel round trips,
 the arbiter's grants, the slave's per-call records (a DRCF's LRU touches
-and ``record_active`` calls) and one monitor record.  The poll after a
+and active calls) and one monitor record.  The poll after a
 train, the one that sees the word pass and every declined poll go through
 the kernel.  As in test_burst_train_equivalence.py, each design runs
 ``closed`` (as is) and ``round_trip`` (a no-op trace hook turns every
@@ -29,7 +29,7 @@ from repro.apps.accelerators.base import (
     Accelerator,
 )
 from repro.apps.driver import run_accelerator_job
-from repro.bus import Bus, ConfigMemory, Memory, TrainRecord
+from repro.bus import Bus, ConfigMemory, Memory
 from repro.core import Context, ContextParameters, Drcf
 from repro.cpu import Processor
 from repro.kernel import ns
@@ -306,7 +306,8 @@ class TestPinned:
         _assert_equivalent(runs, engaged=False)
         polls = closed.cpu.bus_reads - sum(size for _, size, _ in PINNED_JOBS)
         assert closed.polls_booked == polls - len(PINNED_JOBS) == 174
-        trains = [e for e in closed.bus.monitor._log if type(e) is TrainRecord and e.stride == 0]
+        # A booked poll train is the only kind of record with a gap.
+        trains = [e for e in closed.bus.monitor._log if e.gap_fs > 0]
         assert len(trains) == len(PINNED_JOBS)
         assert sum(t.words for t in trains) == closed.polls_booked
 
