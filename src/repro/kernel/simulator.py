@@ -52,6 +52,7 @@ before the polled word can change, at once (see docs/KERNEL.md,
 
 from __future__ import annotations
 
+import gc
 import heapq
 import time
 from collections import deque
@@ -342,6 +343,9 @@ class Simulator:
             generators — terminate cleanly this way.  ``None`` (the
             default) disables the check entirely.
 
+        While it runs, cyclic garbage collections start only from its own
+        allocations (docs/KERNEL.md, "Scheduler guarantees").
+
         Returns the simulation time at which the run stopped.
         """
         if self._running:
@@ -369,6 +373,12 @@ class Simulator:
         runnable = self._runnable
         timed_heap = self._timed_heap
         heappush, heappop = heapq.heappush, heapq.heappop
+        # The cyclic collector is held off in the loop and let run from
+        # every 16th instant boundary at which its young generation is
+        # over its threshold, so a collection starts from the run's own
+        # allocations, not from code that interrupts the run.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             while not self._stop_requested:
                 # Evaluation phase.
@@ -441,6 +451,11 @@ class Simulator:
                             continue  # a hook injected activity at this instant
                 # Timed notification phase.
                 deltas_this_instant = 0
+                if collecting and not stats.timed_activations & 15:
+                    if gc.get_count()[0] > gc.get_threshold()[0]:
+                        gc.enable()
+                    else:
+                        gc.disable()
                 if (
                     wall_deadline is not None
                     and (stats.timed_activations & 0xFF) == 0
@@ -470,6 +485,8 @@ class Simulator:
         finally:
             self._running = False
             self.current_process = None
+            if collecting:
+                gc.enable()
         if error_on_deadlock and not self._stop_requested:
             blocked = self.blocked_processes()
             if blocked:

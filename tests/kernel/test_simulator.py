@@ -1,5 +1,7 @@
 """Scheduler semantics: determinism, run-until, delta loops, stop, spawn."""
 
+import gc
+
 import pytest
 
 from repro.kernel import (
@@ -91,6 +93,69 @@ class TestRunControl:
         sim.spawn("p", body)
         with pytest.raises(Exception, match="past"):
             sim.run()
+
+    def test_collector_held_off_during_the_run_and_resumed_after(self, sim):
+        seen = []
+
+        def body():
+            seen.append(gc.isenabled())
+            yield ns(1)
+            seen.append(gc.isenabled())
+            raise RuntimeError("process failed")
+
+        sim.spawn("p", body)
+        gc.collect()  # a young generation well under the threshold
+        with pytest.raises(Exception, match="process failed"):
+            sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()  # resumed although the run raised
+
+    def test_collector_runs_once_the_young_generation_outgrows_it(self, sim):
+        class Young:
+            pass
+
+        seen, starts = [], []
+
+        def body():
+            kept = [Young() for _ in range(2 * gc.get_threshold()[0])]
+            seen.append(gc.isenabled())
+            yield ns(1)  # the first instant boundary checks the generation
+            seen.append(gc.isenabled())
+            kept.append(Young())  # the run's next allocation collects
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        sim.spawn("p", body)
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            sim.run()
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert seen == [False, True]
+        assert starts
+
+    def test_collector_disabled_before_the_run_stays_disabled(self, sim):
+        class Young:
+            pass
+
+        seen = []
+
+        def body():
+            kept = [Young() for _ in range(2 * gc.get_threshold()[0])]
+            yield ns(1)
+            seen.append((gc.isenabled(), len(kept)))
+
+        sim.spawn("p", body)
+        gc.disable()
+        try:
+            sim.run()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [(False, 2 * gc.get_threshold()[0])]
 
 
 class TestDeterminism:
