@@ -53,6 +53,8 @@ it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
@@ -150,12 +152,13 @@ class Bus(Module, BusMasterIf):
         self.monitor = BusMonitor(name=f"{self.full_name}.monitor")
         self._slaves: List[BusSlaveIf] = []
         self._priorities: Dict[str, int] = {}
-        # One-entry decode cache: (low, high, slave) of the last hit,
-        # invalidated whenever the slave map changes, so a hit is always a
-        # registered slave.  Bounds are snapshotted to skip the interface
-        # method calls on the hot path (slave ranges are fixed; DRCF
-        # reconfiguration swaps slaves, which invalidates the entry).
-        self._decode_cache: Optional[tuple] = None
+        # The decode table: (low, high, slave) of every registered slave,
+        # sorted by low address whenever the slave map changes or an
+        # address misses it, and the low addresses alone for ``bisect``.
+        # Ranges never overlap, so the slave decoding an address is the
+        # last one starting at or below it.
+        self._ranges: List[tuple] = []
+        self._lows: List[int] = []
         # One read's phases as the transfer loop waits them, for the closed
         # forms: the slave is called ``call_fs`` into the read (after the
         # address phase and, under split, the request beat), and the read
@@ -201,12 +204,20 @@ class Bus(Module, BusMasterIf):
                     f"{self._slave_name(other)}"
                 )
         self._slaves.append(slave)
-        self._decode_cache = None
+        self._sort_ranges()
 
     def unregister_slave(self, slave: BusSlaveIf) -> None:
         """Detach a slave (used by the DRCF model transformation)."""
         self._slaves.remove(slave)
-        self._decode_cache = None
+        self._sort_ranges()
+
+    def _sort_ranges(self) -> None:
+        """Rebuild the decode table from the slave map."""
+        self._ranges = sorted(
+            ((slave.get_low_add(), slave.get_high_add(), slave) for slave in self._slaves),
+            key=itemgetter(0),
+        )
+        self._lows = [low for low, _, _ in self._ranges]
 
     @property
     def slaves(self) -> List[BusSlaveIf]:
@@ -218,15 +229,15 @@ class Bus(Module, BusMasterIf):
 
     def decode(self, addr: int) -> BusSlaveIf:
         """The slave whose range contains ``addr``."""
-        cached = self._decode_cache
-        if cached is not None and cached[0] <= addr <= cached[1]:
-            return cached[2]
-        for slave in self._slaves:
-            low, high = slave.get_low_add(), slave.get_high_add()
-            if low <= addr <= high:
-                self._decode_cache = (low, high, slave)
-                return slave
-        raise SimulationError(f"bus {self.full_name}: no slave decodes address {addr:#x}")
+        index = bisect_right(self._lows, addr) - 1
+        if index < 0 or addr > self._ranges[index][1]:
+            # Read the bounds again before giving up: a DRCF's range
+            # follows its contexts' modules, which may be rewired.
+            self._sort_ranges()
+            index = bisect_right(self._lows, addr) - 1
+            if index < 0 or addr > self._ranges[index][1]:
+                raise SimulationError(f"bus {self.full_name}: no slave decodes address {addr:#x}")
+        return self._ranges[index][2]
 
     # -- timing helpers ------------------------------------------------------------
     def cycles(self, n: int) -> SimTime:
@@ -318,10 +329,15 @@ class Bus(Module, BusMasterIf):
                 data = self._closed_form(addr, count, burst, master, tags, slave)
                 if data is not None:
                     taken = len(data)
-                    # The booked words are a fresh list: put the words of
-                    # the bursts before them in front instead of copying it.
-                    data[:0] = words
-                    words = data
+                    # Both lists are fresh: copy the shorter into the
+                    # longer, so a train whose bookings alternate with
+                    # declined bursts does not copy every word fetched
+                    # before each booking again.
+                    if len(words) < taken:
+                        data[:0] = words
+                        words = data
+                    else:
+                        words += data
                     count -= taken
                     if not count:
                         return words

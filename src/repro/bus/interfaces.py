@@ -47,7 +47,7 @@ class BusSlaveIf(Interface):
     #: * ``access(n)``: femtoseconds the slave takes to serve an ``n``-word
     #:   read;
     #: * ``words(n)``: the first ``n`` words from ``addr``, as reads return
-    #:   them;
+    #:   them, in a fresh list (the bus keeps it and extends it);
     #: * ``book(reads, n, start_fs, period_fs)``: records in the slave what
     #:   ``reads`` calls of ``n``-word reads record, call ``i`` starting at
     #:   ``start_fs + i * period_fs``.

@@ -41,9 +41,12 @@ from .interfaces import BusSlaveIf, check_timing, normalize_write_data
 #: FNV-1a offset/prime (32-bit) for bitstream checksums.
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
-#: ``region_checksum`` folds each all-zero chunk of this many words into
-#: one multiplication by ``_FNV_PRIME ** _ZERO_CHUNK``.
+#: ``region_checksum`` folds each all-zero block of ``_ZERO_BLOCK`` words,
+#: and each all-zero chunk of ``_ZERO_CHUNK`` words inside the other
+#: blocks, into one multiplication by the matching power of ``_FNV_PRIME``.
+_ZERO_BLOCK = 1024
 _ZERO_CHUNK = 64
+_FNV_PRIME_BLOCK = pow(_FNV_PRIME, _ZERO_BLOCK, 1 << 32)
 _FNV_PRIME_CHUNK = pow(_FNV_PRIME, _ZERO_CHUNK, 1 << 32)
 
 #: Sparse-store page size (words); pages are allocated on first write.
@@ -55,21 +58,33 @@ _PAGE_MASK = _PAGE_WORDS - 1
 def region_checksum(words) -> int:
     """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in.
 
-    Bit-exact with the plain word loop.  XOR with a zero word is the
-    identity, so an all-zero chunk (unwritten bitstream) folds into one
-    multiplication by a precomputed prime power; other chunks run the loop.
+    Bit-exact with the plain word loop, ``value = ((value ^ (word &
+    0xFFFFFFFF)) * prime) & 0xFFFFFFFF``.  XOR with a zero word is the
+    identity, so an all-zero span (unwritten bitstream) folds into one
+    multiplication by a power of the prime.  C-level scans find the spans:
+    ``count(0)`` over the whole sequence and over each 1,024-word block,
+    then ``any`` over the 64-word chunks of a block with a non-zero word;
+    the other chunks and a partial last chunk run the loop.  The loop drops
+    the mask on ``word``: the low 32 bits of ``value ^ word`` do not depend
+    on the higher bits of ``word``, and only low bits enter a product
+    modulo 2**32.
     """
+    size = len(words)
+    if words.count(0) == size:
+        return (_FNV_OFFSET * pow(_FNV_PRIME, size, 1 << 32)) & 0xFFFFFFFF
     value = _FNV_OFFSET
-    full = len(words) - len(words) % _ZERO_CHUNK
-    for start in range(0, full, _ZERO_CHUNK):
-        chunk = words[start:start + _ZERO_CHUNK]
-        if any(chunk):
+    for start in range(0, size, _ZERO_BLOCK):
+        block = words[start:start + _ZERO_BLOCK]
+        if block.count(0) == _ZERO_BLOCK:
+            value = (value * _FNV_PRIME_BLOCK) & 0xFFFFFFFF
+            continue
+        for offset in range(0, len(block), _ZERO_CHUNK):
+            chunk = block[offset:offset + _ZERO_CHUNK]
+            if len(chunk) == _ZERO_CHUNK and not any(chunk):
+                value = (value * _FNV_PRIME_CHUNK) & 0xFFFFFFFF
+                continue
             for word in chunk:
-                value = ((value ^ (word & 0xFFFFFFFF)) * _FNV_PRIME) & 0xFFFFFFFF
-        else:
-            value = (value * _FNV_PRIME_CHUNK) & 0xFFFFFFFF
-    for word in words[full:]:
-        value = ((value ^ (word & 0xFFFFFFFF)) * _FNV_PRIME) & 0xFFFFFFFF
+                value = ((value ^ word) * _FNV_PRIME) & 0xFFFFFFFF
     return value
 
 

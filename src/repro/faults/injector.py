@@ -53,6 +53,8 @@ class FaultInjector:
         self._memory = None
         #: One-shot consumption state: spec index -> remaining applications.
         self._remaining: Dict[int, int] = {}
+        #: ``bus_transient`` applications left over all specs.
+        self._transients_left = 0
         self._attached = False
 
     # -- arming / attaching -------------------------------------------------
@@ -63,6 +65,8 @@ class FaultInjector:
         index = len(self.specs)
         self.specs.append(spec)
         self._remaining[index] = spec.n_bursts if spec.kind == "bus_transient" else 1
+        if spec.kind == "bus_transient":
+            self._transients_left += spec.n_bursts
 
     def attach(self, sim, design, info) -> None:
         """Hook an elaborated design (SoC template ``info`` address map).
@@ -139,14 +143,15 @@ class FaultInjector:
 
     def filter_bitstream(
         self, drcf_name: str, context_name: str, bitstream: Sequence[int]
-    ) -> List[int]:
+    ) -> Sequence[int]:
         """Truncated-transfer model: garble the tail of a fetched bitstream.
 
         The region content defaults to fill words, so a truncation must
         inject *garbage* (seeded), not zeros — otherwise the checksum
-        would not notice the damage.
+        would not notice the damage.  Returns ``bitstream`` itself when no
+        truncation applies, else a garbled copy.
         """
-        data = list(bitstream)
+        data = bitstream
         now_ns = self._sim.now.to_ns()
         for index, spec in enumerate(self.specs):
             if (
@@ -156,12 +161,11 @@ class FaultInjector:
                 and now_ns >= spec.at_ns
             ):
                 self._remaining[index] = 0
-                keep = max(0, min(len(data) - 1, int(len(data) * (1.0 - spec.drop_fraction))))
-                for i in range(keep, len(data)):
-                    data[i] = self.rng.getrandbits(32)
-                self._log(
-                    f"truncate {context_name}: words [{keep}:{len(data)}] garbled"
-                )
+                size = len(data)
+                keep = max(0, min(size - 1, int(size * (1.0 - spec.drop_fraction))))
+                data = list(data[:keep])
+                data += [self.rng.getrandbits(32) for _ in range(keep, size)]
+                self._log(f"truncate {context_name}: words [{keep}:{size}] garbled")
         return data
 
     # -- Memory.fault_hook -----------------------------------------------------
@@ -170,8 +174,11 @@ class FaultInjector:
 
         Only bursts overlapping the target context's registered region
         (``ConfigMemory.context_for_burst``) are touched; everything else
-        passes through untouched.
+        passes through untouched.  While :meth:`passes_reads_unchanged`
+        holds, ``data`` is returned at once, before the region lookup.
         """
+        if self.passes_reads_unchanged(memory, addr, count):
+            return data
         region_of = getattr(memory, "context_for_burst", None)
         if region_of is None:
             return data
@@ -187,6 +194,7 @@ class FaultInjector:
                 and now_ns >= spec.at_ns
             ):
                 self._remaining[index] -= 1
+                self._transients_left -= 1
                 data = list(data)
                 word = self.rng.randrange(count)
                 bit = self.rng.randrange(32)
@@ -205,10 +213,7 @@ class FaultInjector:
         applications left.  The memory then samples the range as one
         slice instead of filtering it burst by burst.
         """
-        return not any(
-            spec.kind == "bus_transient" and self._remaining.get(index, 0) > 0
-            for index, spec in enumerate(self.specs)
-        )
+        return not self._transients_left
 
     # -- introspection ------------------------------------------------------------
     @property

@@ -57,6 +57,43 @@ class TestDecode:
         bus.unregister_slave(mem)
         assert bus.slaves == []
 
+    def test_decode_table_over_unsorted_slaves(self, sim):
+        """Slaves registered out of address order, with gaps between them:
+        both ends of each range decode to it, every gap and both outer
+        sides fail, and the table follows unregister and register."""
+        bus = Bus("bus", sim=sim)
+        bases = (0x3000, 0x1000, 0x2000)
+        mems = [Memory(f"m{i}", sim=sim, base=base, size_words=16) for i, base in enumerate(bases)]
+        for mem in mems:
+            bus.register_slave(mem)
+        for mem in mems:
+            assert bus.decode(mem.get_low_add()) is mem
+            assert bus.decode(mem.get_high_add()) is mem
+        for addr in (0x0, 0xFFF, 0x1040, 0x1FFF, 0x2040, 0x3040):
+            with pytest.raises(SimulationError, match=f"no slave decodes address {addr:#x}"):
+                bus.decode(addr)
+        bus.unregister_slave(mems[2])
+        with pytest.raises(SimulationError, match="no slave decodes"):
+            bus.decode(0x2000)
+        assert bus.decode(0x3000) is mems[0]
+        gap = Memory("gap", sim=sim, base=0x1040, size_words=16)
+        bus.register_slave(gap)
+        assert bus.decode(0x1040) is gap
+        assert bus.decode(0x103C) is mems[1]
+
+    def test_decode_reads_a_moved_range_again(self, sim):
+        """A slave's range may change after registration (a DRCF's follows
+        its contexts' modules): an address the table misses is looked up
+        in the current ranges before the decode fails."""
+        bus, mem = make_system(sim)
+        other = Memory("m2", sim=sim, base=0x4000, size_words=16)
+        bus.register_slave(other)
+        other.base = 0x8000
+        assert bus.decode(0x8000) is other
+        assert bus.decode(0x1000) is mem
+        with pytest.raises(SimulationError, match="no slave decodes address 0x4000"):
+            bus.decode(0x4000)
+
 
 class TestTiming:
     def test_blocking_read_latency(self, sim):

@@ -64,11 +64,44 @@ def word_sequences(draw):
     return words
 
 
+#: Word indices at the edges of 64-word chunks and 1,024-word blocks.
+EDGE_WORDS = [0, 63, 64, 127, 1023, 1024, 1087, 2047, 2048]
+
+
+def sparse(length, words):
+    """``length`` zero words, but for ``words`` (index -> word)."""
+    out = [0] * length
+    for index, word in words.items():
+        out[index] = word
+    return out
+
+
+@st.composite
+def long_word_sequences(draw):
+    """More than two 1,024-word blocks of zeros, most often ending in a
+    partial block and chunk, with a few words set at chunk and block edges
+    or anywhere, and sometimes a dense tail behind the zero prefix, the
+    shape of a truncated bitstream."""
+    length = draw(st.integers(2 * 1024 + 1, 3 * 1024 + 100))
+    indices = st.lists(st.sampled_from(EDGE_WORDS) | st.integers(0, length - 1), max_size=4)
+    words = sparse(length, {index: draw(word_values) for index in draw(indices)})
+    if draw(st.booleans()):
+        start = draw(st.integers(0, length))
+        rng = draw(st.randoms(use_true_random=False))
+        words[start:] = [rng.randrange(-(2**33), 2**33) for _ in range(length - start)]
+    return words
+
+
 class TestRegionChecksum:
-    @given(word_sequences())
+    @given(word_sequences() | long_word_sequences())
     @example([0] * 63 + [2**32] + [0] * 64)  # zero low bits in a "zero" chunk
     @example([-(2**32)] * 128)
-    @settings(max_examples=300, deadline=None)
+    @example(sparse(3 * 1024 + 5, {1024: 1}))  # a zero block, then a word at its edge
+    @example(sparse(2 * 1024 + 100, {63: 2**31, 64: 1, 1023: 5, 2047: 9}))
+    @example([0] * 2100 + [(i * 2654435761) % 2**32 for i in range(1, 1000)])  # truncated
+    @example(sparse(2 * 1024 + 70, {2048: 2**32, 2049: -1, 2050: 3, 2100: -(2**35)}))
+    # At least 300 examples, and the ci profile's count when it is larger.
+    @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
     def test_matches_the_plain_loop(self, words):
         expected = reference_checksum(words)
         assert region_checksum(words) == expected

@@ -1,6 +1,7 @@
 """FaultInjector: each fault kind applied through the core-layer hooks,
 plus the zero-overhead guarantee for disarmed designs and the error paths."""
 
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -81,6 +82,21 @@ class TestTruncate:
         # The stored memory itself was never touched.
         assert rig.cfgmem.region_is_clean("s0")
 
+    def test_copies_the_bitstream_only_when_it_truncates(self):
+        rig = make_rig()
+        injector = attach(rig, FaultSpec("truncate", "s0", at_ns=0.0, drop_fraction=0.25))
+        bitstream = list(range(1, 101))
+        assert injector.filter_bitstream("drcf", "s1", bitstream) is bitstream
+        garbled = injector.filter_bitstream("drcf", "s0", bitstream)
+        assert bitstream == list(range(1, 101))  # the fetched words stay as read
+        draws = random.Random(7)
+        assert garbled == bitstream[:75] + [draws.getrandbits(32) for _ in range(25)]
+        assert [message for _, message in injector.events] == [
+            "truncate s0: words [75:100] garbled"
+        ]
+        # One-shot: the next fetch of s0 passes through as is.
+        assert injector.filter_bitstream("drcf", "s0", bitstream) is bitstream
+
     def test_first_fetch_is_marked_corrupted(self):
         rig = make_rig()
         attach(rig, FaultSpec("truncate", "s0", at_ns=0.0))
@@ -116,6 +132,26 @@ class TestBusTransient:
         ]
         assert injector.pending == 0
         assert injector.passes_reads_unchanged(rig.cfgmem, 0x1003F0, 8)
+
+    def test_a_spent_injector_returns_the_burst_itself(self):
+        """Once no transient is left, a burst comes back as the very list
+        it came in, before any region lookup."""
+        rig = make_rig()
+        injector = attach(rig, FaultSpec("bus_transient", "s0", at_ns=0.0, n_bursts=2))
+        base, _ = rig.cfgmem.region_of("s0")
+        for _ in range(2):
+            assert not injector.passes_reads_unchanged(rig.cfgmem, base, 4)
+            injector.on_memory_read(rig.cfgmem, base, 4, [0] * 4)
+        assert injector.passes_reads_unchanged(rig.cfgmem, base, 4)
+        assert injector.pending == 0
+
+        def no_lookup(addr, count):
+            raise AssertionError("a spent injector looked up a region")
+
+        memory = SimpleNamespace(context_for_burst=no_lookup)
+        data = [1, 2, 3, 4]
+        assert injector.on_memory_read(memory, base, 4, data) is data
+        assert len(injector.events) == 2
 
     def test_memory_without_regions_passes_through(self):
         injector = FaultInjector(seed=7)
