@@ -264,6 +264,33 @@ def _parse_function(func: object) -> Optional[ast.AST]:
 #: once however many instances the design contains.
 _FACTS_CACHE: Dict[object, Optional[_FnFacts]] = {}
 
+#: The call names :class:`_FactsVisitor` records notifies from.
+_NOTIFY_NAMES = frozenset({"notify", "notify_delta"})
+
+#: Per code object: whether it, or any code nested in it, names a notify.
+_NAMES_NOTIFY_CACHE: Dict[types.CodeType, bool] = {}
+
+
+def _names_notify(code: types.CodeType) -> bool:
+    """Whether ``code`` or code nested in it names ``notify``/``notify_delta``.
+
+    The facts visitor records a notify, resolved or not, only from a
+    ``<x>.notify(...)``/``<x>.notify_delta(...)`` call, whose attribute
+    name the compiler puts in ``co_names``.  Nested code objects count
+    too: comprehensions are nested functions before Python 3.12, and
+    the visitor walks them as part of the body.  A body naming neither
+    has facts without notifies, so :meth:`DesignDataflow.notify_scan`
+    need not parse it.  Memoized per code object.
+    """
+    found = _NAMES_NOTIFY_CACHE.get(code)
+    if found is None:
+        found = not _NOTIFY_NAMES.isdisjoint(code.co_names) or any(
+            isinstance(const, types.CodeType) and _names_notify(const)
+            for const in code.co_consts
+        )
+        _NAMES_NOTIFY_CACHE[code] = found
+    return found
+
 
 def _fn_facts(func: object) -> Optional[_FnFacts]:
     """The (cached) syntactic facts of ``func``, or None if unparseable."""
@@ -592,7 +619,11 @@ class DesignDataflow:
         Scans every class method of every module (and of every process
         owner) — not just process bodies — because events are legitimately
         notified from interface methods called by *other* modules' processes
-        (e.g. a slave's ``write`` kicking its worker thread).  Cached.
+        (e.g. a slave's ``write`` kicking its worker thread).  Only methods
+        whose code names ``notify`` or ``notify_delta`` are parsed (no other
+        body can record a notify, see :func:`_names_notify`), and each class
+        is walked once per scan, however many owners share it; the paths of
+        its notifying methods are then resolved per owner.  Cached.
         """
         if self._notify_scan is not None:
             return self._notify_scan
@@ -604,21 +635,19 @@ class DesignDataflow:
             unresolved = unresolved or summary.unresolved_notify
             if summary.owner is not None and all(summary.owner is not o for o in owners):
                 owners.append(summary.owner)
-        scanned: Set[Tuple[int, int]] = set()
+        notifiers: Dict[type, List[types.FunctionType]] = {}
         for owner in owners:
+            scanned: Set[int] = set()
             for klass in type(owner).__mro__:
                 if klass is object:
                     continue
-                for member in vars(klass).values():
-                    func = member
-                    if isinstance(member, (staticmethod, classmethod)):
-                        func = member.__func__
-                    if not isinstance(func, types.FunctionType):
+                funcs = notifiers.get(klass)
+                if funcs is None:
+                    funcs = notifiers[klass] = _notifying_functions(klass)
+                for func in funcs:
+                    if id(func.__code__) in scanned:
                         continue
-                    key = (id(owner), id(func.__code__))
-                    if key in scanned:
-                        continue
-                    scanned.add(key)
+                    scanned.add(id(func.__code__))
                     facts = _fn_facts(func)
                     if facts is None:
                         continue
@@ -633,6 +662,19 @@ class DesignDataflow:
                             unresolved = True
         self._notify_scan = (notified, unresolved)
         return self._notify_scan
+
+
+def _notifying_functions(klass: type) -> List[types.FunctionType]:
+    """The functions defined on ``klass`` itself (plain, static or class
+    methods) whose code names a notify call."""
+    funcs: List[types.FunctionType] = []
+    for member in vars(klass).values():
+        func = member
+        if isinstance(member, (staticmethod, classmethod)):
+            func = member.__func__
+        if isinstance(func, types.FunctionType) and _names_notify(func.__code__):
+            funcs.append(func)
+    return funcs
 
 
 # --------------------------------------------------------------------------

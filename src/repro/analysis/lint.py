@@ -245,6 +245,10 @@ class LintContext:
 
     netlist: Optional[Netlist] = None
     top: Optional[Module] = None
+    #: The given design, when it is an :class:`ElaboratedDesign`: REP104
+    #: reads the address ranges of the instances built from the netlist's
+    #: own specs instead of building scratch ones.
+    design: Optional[ElaboratedDesign] = None
     candidates: Optional[List[str]] = None
     config_memory: Optional[str] = None
     _dataflow: Optional[DesignDataflow] = field(default=None, repr=False)
@@ -388,7 +392,11 @@ def run_lint(
         hierarchy.  Elaboration failure is reported as ``REP001``.
     design:
         An already-elaborated :class:`ElaboratedDesign` (or top
-        :class:`Module`) to check instead of scratch-elaborating.
+        :class:`Module`) to check instead of scratch-elaborating.  When
+        it is the ``netlist``'s own elaboration, REP104 reads each slave's
+        address range from the instance built from that spec rather than
+        from a scratch instance, so linting the design a caller is about
+        to simulate builds nothing.
     candidates, config_memory:
         Planned arguments of a future
         :func:`~repro.core.transform.transform_to_drcf` call; supplying
@@ -415,10 +423,11 @@ def run_lint(
     select_list = _normalize_codes(select)
     ignore_list = _normalize_codes(ignore)
     diagnostics: List[Diagnostic] = []
-    top = design.top if isinstance(design, ElaboratedDesign) else design
+    elaborated = design if isinstance(design, ElaboratedDesign) else None
     ctx = LintContext(
         netlist=netlist,
-        top=top,
+        top=elaborated.top if elaborated is not None else design,
+        design=elaborated,
         candidates=list(candidates) if candidates else None,
         config_memory=config_memory,
     )
@@ -557,21 +566,26 @@ def _check_ref_is_bus(ctx: LintContext) -> Iterator[CheckResult]:
                 )
 
 
-def _scratch_slave_ranges(netlist: Netlist) -> Dict[str, Tuple[int, int]]:
-    """Address range of each slave spec, by standalone scratch elaboration.
+def _slave_ranges(
+    netlist: Netlist, design: Optional[ElaboratedDesign]
+) -> Dict[str, Tuple[int, int]]:
+    """Address range of each slave spec.
 
-    Each spec is instantiated under its own throwaway simulator (the same
-    move as :func:`~repro.core.transform.analyze_module_spec`); specs that
-    fail to build standalone are skipped — elaboration-order problems are
-    REP001's job, not this helper's.
+    A spec that ``design`` was elaborated from is read off its instance.
+    Any other spec is instantiated under its own throwaway simulator (the
+    same move as :func:`~repro.core.transform.analyze_module_spec`);
+    specs that fail to build standalone are skipped — elaboration-order
+    problems are REP001's job, not this helper's.
     """
     ranges: Dict[str, Tuple[int, int]] = {}
     for spec in netlist.specs:
         if spec.slave_of is None or not callable(spec.factory):
             continue
         try:
-            scratch = Simulator(name=f"lint_scratch_{spec.name}")
-            instance = spec.factory(spec.name, sim=scratch, **spec.kwargs)
+            instance = design.instance_of(spec) if design is not None else None
+            if instance is None:
+                scratch = Simulator(name=f"lint_scratch_{spec.name}")
+                instance = spec.factory(spec.name, sim=scratch, **spec.kwargs)
             ranges[spec.name] = (int(instance.get_low_add()), int(instance.get_high_add()))
         except Exception:
             continue
@@ -581,7 +595,7 @@ def _scratch_slave_ranges(netlist: Netlist) -> Dict[str, Tuple[int, int]]:
 @rule("REP104", layer="netlist", summary="slave address ranges invalid or overlapping")
 def _check_static_ranges(ctx: LintContext) -> Iterator[CheckResult]:
     """Slaves of one bus must advertise valid, disjoint address ranges."""
-    ranges = _scratch_slave_ranges(ctx.netlist)
+    ranges = _slave_ranges(ctx.netlist, ctx.design)
     by_bus: Dict[str, List[Tuple[int, int, str]]] = {}
     for spec in ctx.netlist.specs:
         if spec.name not in ranges:

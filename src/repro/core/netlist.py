@@ -58,11 +58,23 @@ class ComponentSpec:
 
 
 class ElaboratedDesign:
-    """The result of elaborating a netlist: live instances by name."""
+    """The result of elaborating a netlist: live instances by name.
 
-    def __init__(self, top: Module, instances: Dict[str, Module]) -> None:
+    It remembers the :class:`ComponentSpec` object each instance was built
+    from (``specs``, by instance name), so a checker can tell an instance
+    of *this* spec from one of an edited or cloned netlist
+    (:meth:`instance_of`).
+    """
+
+    def __init__(
+        self,
+        top: Module,
+        instances: Dict[str, Module],
+        specs: Optional[Dict[str, ComponentSpec]] = None,
+    ) -> None:
         self.top = top
         self._instances = instances
+        self._specs = specs or {}
 
     def __getitem__(self, name: str) -> Module:
         try:
@@ -82,6 +94,12 @@ class ElaboratedDesign:
     @property
     def sim(self) -> Simulator:
         return self.top.sim
+
+    def instance_of(self, spec: ComponentSpec) -> Optional[Module]:
+        """The instance elaborated from ``spec`` itself, or None."""
+        if self._specs.get(spec.name) is spec:
+            return self._instances[spec.name]
+        return None
 
 
 class Netlist:
@@ -220,7 +238,7 @@ class Netlist:
         instances: Dict[str, Module] = {}
         for spec in self._specs.values():
             instances[spec.name] = spec.factory(spec.name, parent=top, **spec.kwargs)
-        design = ElaboratedDesign(top, instances)
+        design = ElaboratedDesign(top, instances, dict(self._specs))
         for spec in self._specs.values():
             instance = instances[spec.name]
             if spec.master_of is not None:

@@ -30,6 +30,7 @@ enforced by requiring all candidates to be slaves of the same bus.
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -317,6 +318,15 @@ def _round_up(value: int, multiple: int) -> int:
     return ((value + multiple - 1) // multiple) * multiple
 
 
+@functools.lru_cache(maxsize=256)
+def _takes_tech(factory: Callable) -> bool:
+    """Whether ``factory`` accepts a ``tech`` argument (once per factory)."""
+    try:
+        return "tech" in inspect.signature(factory).parameters
+    except (TypeError, ValueError):  # builtins / odd callables
+        return False
+
+
 def _make_context_builder(
     spec: ComponentSpec, params: ContextParameters, gates: int, tech
 ) -> Callable:
@@ -327,10 +337,10 @@ def _make_context_builder(
     # speed, not at its dedicated-logic speed — retarget the timing model
     # if the candidate's constructor accepts a technology.
     try:
-        signature = inspect.signature(spec.factory)
-    except (TypeError, ValueError):  # builtins / odd callables
-        signature = None
-    if signature is not None and "tech" in signature.parameters:
+        takes_tech = _takes_tech(spec.factory)
+    except TypeError:  # an unhashable callable: test it uncached
+        takes_tech = _takes_tech.__wrapped__(spec.factory)
+    if takes_tech:
         kwargs["tech"] = tech
 
     def builder(drcf) -> Context:

@@ -3,13 +3,19 @@
 Orchestrates the system-level stages of the flow on a concrete design:
 
 1. **System specification** — the executable specification: golden outputs
-   of the workload, doubling as the test bench for every later stage.
-2. **Architecture definition** — the Figure 1(a) architecture template.
+   of the workload, computed once per job and doubling as the test bench
+   for every later stage.
+2. **Architecture definition** — the Figure 1(a) architecture template,
+   elaborated once and linted (dataflow layer on) as that very design
+   before it simulates.
 3. **System partitioning** — profile the baseline run and apply the
    Section 5.1 rules of thumb to pick DRCF candidates.
-4. **Mapping** — the DRCF transformation against a technology preset.
-5. **System-level simulation** — run both architectures on the workload
-   and collect the comparison metrics.
+4. **Mapping** — the DRCF transformation against a technology preset,
+   behind a lint of its preconditions; the mapped netlist is elaborated
+   once and linted as the design that stage 5 then simulates.
+5. **System-level simulation** — run both architectures on the workload,
+   check every job's outputs against stage 1's, and collect the
+   comparison metrics.
 6. **Specification refinement / back-annotation** — re-run with refined
    per-context reconfiguration delays (e.g. numbers returned by back-end
    tools) and report the delta.
@@ -20,8 +26,9 @@ examples and documentation can show the full flow.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.lint import LintReport, run_lint
 from ..apps import (
@@ -31,7 +38,7 @@ from ..apps import (
     make_baseline_netlist,
 )
 from ..apps.soc import ACCELERATOR_CLASSES, SocInfo, accelerator_gate_counts
-from ..core import Netlist, TransformResult, transform_to_drcf
+from ..core import ElaboratedDesign, Netlist, TransformResult, transform_to_drcf
 from ..kernel import SimulationError, Simulator
 from ..tech import ReconfigTechnology
 from .partition import (
@@ -98,6 +105,9 @@ class AdriaticFlow:
         unknown = [a for a in accels if a not in ACCELERATOR_CLASSES]
         if unknown:
             raise KeyError(f"unknown accelerators {unknown}")
+        repeated = sorted(name for name, count in Counter(accels).items() if count > 1)
+        if repeated:
+            raise ValueError(f"accelerators named more than once: {repeated}")
         self.accels = tuple(accels)
         self.tech = tech
         self.n_frames = n_frames
@@ -105,15 +115,41 @@ class AdriaticFlow:
         self.designer_flags = designer_flags or {}
 
     # -- stage helpers -----------------------------------------------------
-    def _run_architecture(self, netlist: Netlist, info: SocInfo, jobs) -> StageRun:
-        sim = Simulator()
-        design = netlist.elaborate(sim)
+    @staticmethod
+    def _elaborate_linted(netlist: Netlist, failure: str) -> Tuple[ElaboratedDesign, LintReport]:
+        """Elaborate ``netlist`` once and lint that design (dataflow on).
+
+        Raises :class:`SimulationError` headed by ``failure`` when the
+        report has errors.  If elaboration itself raises, the netlist is
+        linted on its own instead, so the report (``REP001`` carrying the
+        elaboration error, next to the static findings) reads as a
+        standalone lint of the netlist would.
+        """
+        try:
+            design = netlist.elaborate(Simulator())
+        except Exception:
+            report = run_lint(netlist, dataflow=True)
+            if report.has_errors:
+                raise SimulationError(f"{failure}:\n{report.render()}") from None
+            raise
+        report = run_lint(netlist, design=design, dataflow=True)
+        if report.has_errors:
+            raise SimulationError(f"{failure}:\n{report.render()}")
+        return design, report
+
+    @staticmethod
+    def _run_architecture(
+        design: ElaboratedDesign, info: SocInfo, jobs, golden: List[List[int]]
+    ) -> StageRun:
+        """Simulate ``jobs`` on ``design`` and check every job's outputs
+        against ``golden`` (stage 1's, aligned with ``jobs``)."""
         runner = JobRunner(info.accel_bases, info.buffer_words)
         design[info.cpu_name].run_task(runner.task(jobs), name="workload")
-        sim.run()
+        design.sim.run()
         if len(runner.results) != len(jobs):
             raise SimulationError("flow run incomplete")
-        matches = all(r.outputs == golden_outputs(r.spec) for r in runner.results)
+        # The runner records results in job order, so result i is job i's.
+        matches = all(r.outputs == expected for r, expected in zip(runner.results, golden))
         bus = design[info.bus_name]
         if info.drcf_name and info.drcf_name in design:
             stats = design[info.drcf_name].stats.summary()
@@ -121,7 +157,6 @@ class AdriaticFlow:
             reconfig_us = float(stats["reconfig_time_ns"]) / 1e3
         else:
             switches, reconfig_us = 0, 0.0
-        self._last_design = design  # kept for profiling access
         return StageRun(
             makespan_us=max(r.end_ns for r in runner.results) / 1e3,
             bus_config_words=bus.monitor.words_by_tag("config"),
@@ -139,21 +174,18 @@ class AdriaticFlow:
         """
         # Stage 1: executable specification.
         jobs = frame_interleaved_jobs(self.accels, self.n_frames, seed=self.seed)
-        golden = {job.label: golden_outputs(job) for job in jobs}
+        golden = [golden_outputs(job) for job in jobs]
 
         # Stage 2: architecture template (Figure 1a), statically verified
         # before anything simulates: a template that fails the model lint
         # would waste every later stage.
         baseline, info = make_baseline_netlist(self.accels)
-        baseline_lint = run_lint(baseline, dataflow=True)
-        if baseline_lint.has_errors:
-            raise SimulationError(
-                f"stage-2 architecture template fails lint:\n{baseline_lint.render()}"
-            )
+        design, baseline_lint = self._elaborate_linted(
+            baseline, "stage-2 architecture template fails lint"
+        )
 
         # Stage 5a: simulate the baseline (also the profiling run).
-        baseline_run = self._run_architecture(baseline, info, jobs)
-        design = self._last_design
+        baseline_run = self._run_architecture(design, info, jobs, golden)
         window_ns = baseline_run.makespan_us * 1e3
         gates = accelerator_gate_counts(self.accels)
         accel_stats = {
@@ -195,13 +227,11 @@ class AdriaticFlow:
             # The dataflow layer (REP4xx) runs on both elaborating gates:
             # the generated DRCF's process bodies are exactly the machine-
             # written code the static races/dead-waits analysis is for.
-            mapped_lint = run_lint(transform.netlist, dataflow=True)
-            if mapped_lint.has_errors:
-                raise SimulationError(
-                    f"stage-4 mapped netlist fails lint:\n{mapped_lint.render()}"
-                )
+            mapped, mapped_lint = self._elaborate_linted(
+                transform.netlist, "stage-4 mapped netlist fails lint"
+            )
             # Stage 5b: simulate the mapped architecture.
-            mapped_run = self._run_architecture(transform.netlist, info, jobs)
+            mapped_run = self._run_architecture(mapped, info, jobs, golden)
 
             # Stage 6: back-annotation.
             if back_annotate_scale is not None:
@@ -217,10 +247,12 @@ class AdriaticFlow:
                     config_base=info.cfg_base,
                     extra_delays=extra,
                 )
-                back_run = self._run_architecture(refined.netlist, info, jobs)
+                back_run = self._run_architecture(
+                    refined.netlist.elaborate(Simulator()), info, jobs, golden
+                )
 
         return FlowResult(
-            golden=golden,
+            golden={job.label: outputs for job, outputs in zip(jobs, golden)},
             baseline_netlist=baseline,
             profiles=profiles,
             recommendation=recommendation,

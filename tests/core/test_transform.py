@@ -1,8 +1,11 @@
 """The four-phase DRCF transformation (Section 5.2 / Figure 4)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.apps import make_baseline_netlist
+from repro.apps.accelerators import FirAccelerator
 from repro.core import (
     Drcf,
     Ref8Drcf,
@@ -11,12 +14,20 @@ from repro.core import (
     transform_to_drcf,
 )
 from repro.kernel import ElaborationError, Module as ModuleBase, Simulator, us
-from repro.tech import MORPHOSYS, VIRTEX2PRO
+from repro.tech import ASIC, MORPHOSYS, VIRTEX2PRO
 
 
 @pytest.fixture
 def baseline():
     return make_baseline_netlist(("fir", "fft", "xtea"))
+
+
+@dataclass
+class _FirFactory:
+    """A callable factory object; defining equality makes it unhashable."""
+
+    def __call__(self, name, *, tech=ASIC, **kwargs):
+        return FirAccelerator(name, tech=tech, **kwargs)
 
 
 class TestPhase1ModuleAnalysis:
@@ -126,6 +137,16 @@ class TestPhase3And4:
         assert drcf.child("fir").tech is MORPHOSYS
         # Regions were registered on the config memory at elaboration.
         assert design["cfgmem"].region_of("fir")[1] == MORPHOSYS.context_size_bytes(12_000)
+
+    def test_unhashable_factory_is_retargeted(self, baseline):
+        netlist, info = baseline
+        netlist.component("fir").factory = _FirFactory()
+        result = transform_to_drcf(
+            netlist, ["fir"], tech=MORPHOSYS,
+            config_memory="cfgmem", config_base=info.cfg_base,
+        )
+        design = result.netlist.elaborate(Simulator())
+        assert design["drcf1"].child("fir").tech is MORPHOSYS
 
     def test_custom_drcf_class(self, baseline):
         netlist, info = baseline

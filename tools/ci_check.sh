@@ -23,7 +23,9 @@
 #   5. fault-campaign smoke: seeded campaigns must reproduce byte-for-byte,
 #      with the default retry preset and with full recovery (scrubbing)
 #   6. DSE sweep smoke: parallel + cached sweeps must be byte-identical to
-#      serial re-runs (workers 1 and 2), and the warmed cache must hit
+#      serial re-runs (workers 1 and 2), and the warmed cache must hit;
+#      plus the ADRIATIC flow CLI, whose output must be byte-identical
+#      under PYTHONHASHSEED 0 and 1
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,10 +57,16 @@ echo "== 5/6 fault-campaign reproducibility smoke =="
 python -m repro inject --builtin modem --trials 8 --seed 7 --check
 python -m repro inject --builtin modem --trials 8 --seed 7 --recovery full --check
 
-echo "== 6/6 DSE sweep reproducibility smoke =="
+echo "== 6/6 DSE sweep and flow reproducibility smoke =="
 SWEEP_ARGS="--techs asic,morphosys --workloads interleaved --accels fir,xtea --frames 1"
 python -m repro sweep $SWEEP_ARGS --workers 1 --check --json > /dev/null
 python -m repro sweep $SWEEP_ARGS --workers 2 --check --json > /dev/null
 python tools/bench_sweep.py --check
+FLOW_ARGS="--tech virtex2pro --frames 1"
+FLOW_OUT="$(mktemp -d)"
+trap 'rm -rf "$FLOW_OUT"' EXIT
+PYTHONHASHSEED=0 python -m repro flow $FLOW_ARGS > "$FLOW_OUT/hashseed0.txt"
+PYTHONHASHSEED=1 python -m repro flow $FLOW_ARGS > "$FLOW_OUT/hashseed1.txt"
+cmp "$FLOW_OUT/hashseed0.txt" "$FLOW_OUT/hashseed1.txt"
 
 echo "ci_check: all gates passed"
