@@ -24,30 +24,24 @@ them unchanged.
 :class:`ConfigMemory` is a :class:`Memory` that additionally knows which
 address ranges hold which configuration bitstreams, so reads from a context
 region can be asserted against in tests.  Its integrity verdict
-(:meth:`ConfigMemory.region_is_clean`) is memoized per region against the
-write generation, so a region is re-hashed only after the store changed,
-and a region no write ever touched hashes in closed form.  A fault hook's
+(:meth:`ConfigMemory.region_is_clean`) compares the region's CRC-32
+(:func:`region_checksum`) with the one taken at registration.  The verdict
+is memoized per region against the write generation, so a region is
+re-hashed only after the store changed, and a region no write ever touched
+takes the memoized CRC of its size in zero words.  A fault hook's
 transient read errors hit every burst that overlaps a region
 (:meth:`ConfigMemory.context_for_burst`).
 """
 
 from __future__ import annotations
 
+import zlib
+from array import array
+from functools import lru_cache
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..kernel import Module, SimTime, SimulationError, cycles_to_time
 from .interfaces import BusSlaveIf, check_timing, normalize_write_data
-
-#: FNV-1a offset/prime (32-bit) for bitstream checksums.
-_FNV_OFFSET = 0x811C9DC5
-_FNV_PRIME = 0x01000193
-#: ``region_checksum`` folds each all-zero block of ``_ZERO_BLOCK`` words,
-#: and each all-zero chunk of ``_ZERO_CHUNK`` words inside the other
-#: blocks, into one multiplication by the matching power of ``_FNV_PRIME``.
-_ZERO_BLOCK = 1024
-_ZERO_CHUNK = 64
-_FNV_PRIME_BLOCK = pow(_FNV_PRIME, _ZERO_BLOCK, 1 << 32)
-_FNV_PRIME_CHUNK = pow(_FNV_PRIME, _ZERO_CHUNK, 1 << 32)
 
 #: Sparse-store page size (words); pages are allocated on first write.
 _PAGE_BITS = 10
@@ -55,37 +49,29 @@ _PAGE_WORDS = 1 << _PAGE_BITS
 _PAGE_MASK = _PAGE_WORDS - 1
 
 
-def region_checksum(words) -> int:
-    """FNV-1a (32-bit) over a word sequence — the bitstream CRC stand-in.
+@lru_cache(maxsize=None)
+def _zero_checksum(n_words: int) -> int:
+    """:func:`region_checksum` of ``n_words`` zero words, once per size."""
+    return zlib.crc32(bytes(4 * n_words))
 
-    Bit-exact with the plain word loop, ``value = ((value ^ (word &
-    0xFFFFFFFF)) * prime) & 0xFFFFFFFF``.  XOR with a zero word is the
-    identity, so an all-zero span (unwritten bitstream) folds into one
-    multiplication by a power of the prime.  C-level scans find the spans:
-    ``count(0)`` over the whole sequence and over each 1,024-word block,
-    then ``any`` over the 64-word chunks of a block with a non-zero word;
-    the other chunks and a partial last chunk run the loop.  The loop drops
-    the mask on ``word``: the low 32 bits of ``value ^ word`` do not depend
-    on the higher bits of ``word``, and only low bits enter a product
-    modulo 2**32.
+
+def region_checksum(words) -> int:
+    """CRC-32 over a word sequence: the bitstream integrity check.
+
+    The words are packed as native unsigned 32-bit ints (``array("I")``)
+    and hashed by ``zlib.crc32``, which detects every 1- and 2-bit error
+    and every error burst of up to 32 bits.  A word outside 0..2**32-1
+    counts as its low 32 bits.  An all-zero sequence (an unwritten
+    bitstream) takes the memoized CRC of its size.
     """
     size = len(words)
     if words.count(0) == size:
-        return (_FNV_OFFSET * pow(_FNV_PRIME, size, 1 << 32)) & 0xFFFFFFFF
-    value = _FNV_OFFSET
-    for start in range(0, size, _ZERO_BLOCK):
-        block = words[start:start + _ZERO_BLOCK]
-        if block.count(0) == _ZERO_BLOCK:
-            value = (value * _FNV_PRIME_BLOCK) & 0xFFFFFFFF
-            continue
-        for offset in range(0, len(block), _ZERO_CHUNK):
-            chunk = block[offset:offset + _ZERO_CHUNK]
-            if len(chunk) == _ZERO_CHUNK and not any(chunk):
-                value = (value * _FNV_PRIME_CHUNK) & 0xFFFFFFFF
-                continue
-            for word in chunk:
-                value = ((value ^ word) * _FNV_PRIME) & 0xFFFFFFFF
-    return value
+        return _zero_checksum(size)
+    try:
+        packed = array("I", words)
+    except OverflowError:
+        packed = array("I", [word & 0xFFFFFFFF for word in words])
+    return zlib.crc32(packed)
 
 
 def _page_spans(index: int, end: int) -> Iterator[Tuple[int, int, int]]:
@@ -366,8 +352,7 @@ class ConfigMemory(Memory):
         index = self._index(addr, words)
         first, last = index >> _PAGE_BITS, (index + words - 1) >> _PAGE_BITS
         if self.fill == 0 and not any(first <= page_no <= last for page_no in self._pages):
-            # Never written: FNV-1a over zero words is one multiply each.
-            return (_FNV_OFFSET * pow(_FNV_PRIME, words, 1 << 32)) & 0xFFFFFFFF
+            return _zero_checksum(words)  # never written: all zero words
         return region_checksum(self._load(index, words))
 
     def region_of(self, context_name: str) -> Tuple[int, int]:

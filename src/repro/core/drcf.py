@@ -391,14 +391,10 @@ class Drcf(Module, BusSlaveIf):
             return 0
         recovery = self.recovery
         hook = self.fault_hook
-        expected = (
-            self._context_by_name(context_name).params.checksum
-            if recovery.verify
-            else None
-        )
-        # Model-level ground truth for silent-corruption tracking; only
-        # worth computing when it can differ from a clean load.
-        truth = (
+        # What verification compares a load with, and the model-level
+        # ground truth for silent-corruption tracking; only read when a
+        # load is verified or can differ from a clean one.
+        checksum = (
             self._context_by_name(context_name).params.checksum
             if (hook is not None or recovery.verify)
             else None
@@ -447,16 +443,12 @@ class Drcf(Module, BusSlaveIf):
                 bitstream = hook.filter_bitstream(
                     self.full_name, context_name, bitstream
                 )
-            if truth is None:
+            if checksum is None:
                 break
-            actual = region_checksum(bitstream)
-            if expected is None:
-                # Verification off: a bad load goes unnoticed by the
+            corrupted = region_checksum(bitstream) != checksum
+            if not (corrupted and recovery.verify):
+                # With verification off a bad load goes unnoticed by the
                 # modeled hardware, but the model remembers the truth.
-                corrupted = actual != truth
-                break
-            if actual == expected:
-                corrupted = False
                 break
             attempts += 1
             self.stats.record_config_retry(context_name)
@@ -465,7 +457,6 @@ class Drcf(Module, BusSlaveIf):
             if attempts > recovery.max_retries:
                 if recovery.fallback_to_resident:
                     self.stats.record_fallback(context_name)
-                    corrupted = True
                     break
                 raise SimulationError(
                     f"{self.full_name}: bitstream of context {context_name!r} "
@@ -479,7 +470,7 @@ class Drcf(Module, BusSlaveIf):
             self.stats.record_recovery_time(
                 context_name, self.sim.now - recovery_start
             )
-        if truth is not None:
+        if checksum is not None:
             self._loaded_corrupted[context_name] = corrupted
         if self.config_cache is not None and not corrupted:
             self.config_cache.insert(context_name, size_bytes)

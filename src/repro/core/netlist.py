@@ -200,37 +200,6 @@ class Netlist:
             )
         return out
 
-    def validate(self) -> List[str]:
-        """Structural checks without elaborating; returns problem strings.
-
-        Detects dangling ``master_of``/``slave_of`` references and multiple
-        slaves of one bus declaring the same ``base`` address (the static
-        half of the bus's overlap check).  An empty list means clean.
-        """
-        problems: List[str] = []
-        names = set(self._specs)
-        for spec in self._specs.values():
-            for what, target in (("master_of", spec.master_of), ("slave_of", spec.slave_of)):
-                if target is not None and target not in names:
-                    problems.append(
-                        f"component {spec.name!r}: {what} references unknown "
-                        f"component {target!r}"
-                    )
-        by_bus: Dict[str, Dict[int, str]] = {}
-        for spec in self._specs.values():
-            if spec.slave_of is None or "base" not in spec.kwargs:
-                continue
-            base = spec.kwargs["base"]
-            seen = by_bus.setdefault(spec.slave_of, {})
-            if base in seen:
-                problems.append(
-                    f"slaves {seen[base]!r} and {spec.name!r} of bus "
-                    f"{spec.slave_of!r} share base address {base:#x}"
-                )
-            else:
-                seen[base] = spec.name
-        return problems
-
     # -- elaboration ---------------------------------------------------------------
     def elaborate(self, sim: Simulator) -> ElaboratedDesign:
         """Build the live hierarchy: instantiate, bind, run post hooks."""

@@ -2,10 +2,9 @@
 
 :class:`BitVector` models an N-bit unsigned register with wrapping modular
 arithmetic, bit and slice access, concatenation, and a two's-complement
-signed view.  Accelerator models use it for bit-exact fixed-point
-arithmetic so the executable specification and the mapped model compute
-identical results (a property the paper's flow depends on: the system
-specification doubles as the test bench for every later refinement).
+signed view, for models that want ``sc_uint`` semantics.  The shipped
+accelerator models compute on plain ints; the FIR model clamps its
+outputs with :func:`saturate_signed`.
 """
 
 from __future__ import annotations

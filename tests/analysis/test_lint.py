@@ -94,7 +94,65 @@ class TestCleanTemplates:
 # Netlist-layer rules
 # ---------------------------------------------------------------------------
 
+def cpu_and_memory_netlist():
+    netlist = Netlist("top")
+    netlist.add("bus", Bus, clock_freq_hz=100e6)
+    netlist.add("cpu", Processor, master_of="bus")
+    netlist.add("mem", Memory, slave_of="bus", base=0, size_words=64)
+    return netlist
+
+
+def dangle_both_references(netlist):
+    netlist.component("cpu").master_of = "ghost"
+    netlist.component("mem").slave_of = "phantom"
+
+
+def add_same_bus_slave_at_the_same_base(netlist):
+    netlist.add("mem2", Memory, slave_of="bus", base=0, size_words=4)
+
+
+def add_second_bus_slave_at_the_same_base(netlist):
+    netlist.add("bus2", Bus, clock_freq_hz=100e6)
+    netlist.add("mem2", Memory, slave_of="bus2", base=0, size_words=4)
+
+
 class TestNetlistRules:
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (None, []),
+            (
+                dangle_both_references,
+                [
+                    ("REP102", "top.cpu", "master_of references unknown component 'ghost'"),
+                    ("REP102", "top.mem", "slave_of references unknown component 'phantom'"),
+                ],
+            ),
+            (
+                add_same_bus_slave_at_the_same_base,
+                [
+                    (
+                        "REP104",
+                        "top.mem",
+                        "address range [0x0, 0xff] overlaps [0x0, 0xf] of 'mem2' on bus 'bus'",
+                    ),
+                ],
+            ),
+            (add_second_bus_slave_at_the_same_base, []),
+        ],
+        ids=["clean", "two_dangling_refs", "one_base_one_bus", "one_base_two_buses"],
+    )
+    def test_rep102_rep104_cases(self, edit, expected):
+        """Without elaborating: a clean netlist, two dangling references,
+        and two slaves at one base, which overlap on one bus and are fine
+        on different buses."""
+        netlist = cpu_and_memory_netlist()
+        if edit is not None:
+            edit(netlist)
+        report = run_lint(netlist, elaborate=False, select=["REP102", "REP104"])
+        got = [(d.code, d.location, d.message) for d in report.diagnostics]
+        assert got == expected, report.render()
+
     def test_rep001_elaboration_failure(self):
         def boom(name, parent=None, sim=None):
             raise RuntimeError("constructor exploded")

@@ -1,10 +1,11 @@
 """Differential tests of the paged memory store and the region checksum.
 
-Each optimized path is checked against a plain reference kept here: the
-word-by-word FNV-1a loop, a dict word store, and a fresh comparison of the
-region's content with its registration image.
+Each optimized path is checked against a plain reference kept here: a
+CRC-32 computed without zlib, a dict word store, and a fresh comparison of
+the region's content with its registration image.
 """
 
+import struct
 from unittest import mock
 
 import pytest
@@ -19,13 +20,23 @@ from tests.faults.helpers import make_rig
 PAGE = 1024
 
 
-def reference_checksum(words) -> int:
-    """FNV-1a (32-bit), one word at a time: the definition."""
-    value = 0x811C9DC5
-    for word in words:
-        value ^= word & 0xFFFFFFFF
-        value = (value * 0x01000193) & 0xFFFFFFFF
+def _crc_of_byte(value: int) -> int:
+    """Eight shift-and-XOR steps of the reflected CRC-32 polynomial."""
+    for _ in range(8):
+        value = (value >> 1) ^ (0xEDB88320 if value & 1 else 0)
     return value
+
+
+CRC_TABLE = [_crc_of_byte(byte) for byte in range(256)]
+
+
+def reference_checksum(words) -> int:
+    """CRC-32 of each word's low 32 bits, packed as native unsigned 32-bit
+    ints, one byte at a time: the definition, without zlib."""
+    crc = 0xFFFFFFFF
+    for byte in struct.pack("=%dI" % len(words), *(word & 0xFFFFFFFF for word in words)):
+        crc = (crc >> 8) ^ CRC_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
 
 
 def drain(gen):
@@ -64,7 +75,7 @@ def word_sequences(draw):
     return words
 
 
-#: Word indices at the edges of 64-word chunks and 1,024-word blocks.
+#: Word indices at 64-word edges and at the edges of 1,024-word store pages.
 EDGE_WORDS = [0, 63, 64, 127, 1023, 1024, 1087, 2047, 2048]
 
 
@@ -78,10 +89,10 @@ def sparse(length, words):
 
 @st.composite
 def long_word_sequences(draw):
-    """More than two 1,024-word blocks of zeros, most often ending in a
-    partial block and chunk, with a few words set at chunk and block edges
-    or anywhere, and sometimes a dense tail behind the zero prefix, the
-    shape of a truncated bitstream."""
+    """More than two 1,024-word pages of zeros, most often ending in a
+    partial page, with a few words set at 64- and 1,024-word edges or
+    anywhere, and sometimes a dense tail behind the zero prefix, the shape
+    of a truncated bitstream."""
     length = draw(st.integers(2 * 1024 + 1, 3 * 1024 + 100))
     indices = st.lists(st.sampled_from(EDGE_WORDS) | st.integers(0, length - 1), max_size=4)
     words = sparse(length, {index: draw(word_values) for index in draw(indices)})
@@ -94,9 +105,13 @@ def long_word_sequences(draw):
 
 class TestRegionChecksum:
     @given(word_sequences() | long_word_sequences())
-    @example([0] * 63 + [2**32] + [0] * 64)  # zero low bits in a "zero" chunk
+    @example([])
+    @example([0] * 3 * 1024)  # a zero span
+    @example([2**32])  # zero low bits, but not a zero word
+    @example([-1, 2**32 - 1, 2**32 + 5, 5])
+    @example([0] * 63 + [2**32] + [0] * 64)
     @example([-(2**32)] * 128)
-    @example(sparse(3 * 1024 + 5, {1024: 1}))  # a zero block, then a word at its edge
+    @example(sparse(3 * 1024 + 5, {1024: 1}))  # a zero page, then a word at its edge
     @example(sparse(2 * 1024 + 100, {63: 2**31, 64: 1, 1023: 5, 2047: 9}))
     @example([0] * 2100 + [(i * 2654435761) % 2**32 for i in range(1, 1000)])  # truncated
     @example(sparse(2 * 1024 + 70, {2048: 2**32, 2049: -1, 2050: 3, 2100: -(2**35)}))
@@ -106,6 +121,16 @@ class TestRegionChecksum:
         expected = reference_checksum(words)
         assert region_checksum(words) == expected
         assert region_checksum(tuple(words)) == expected
+
+    @pytest.mark.parametrize("written", [False, True], ids=["unwritten", "written"])
+    def test_paired_bit31_flips_are_not_clean(self, written):
+        """Two flips of bit 31 in one region (words 3 and 77 of 100)."""
+        mem = ConfigMemory("cfg", sim=Simulator(), base=0, size_words=PAGE)
+        if written:
+            mem.poke(0, list(range(1, 101)))
+        mem.register_context_region("r", 0, 4 * 100)
+        mem.corrupt_region("r", [3 * 32 + 31, 77 * 32 + 31])
+        assert not mem.region_is_clean("r")
 
 
 # -- the paged store --------------------------------------------------------------

@@ -68,32 +68,6 @@ class TestBuilding:
         assert "clock_freq_hz" not in netlist.component("cpu").kwargs
 
 
-class TestValidate:
-    def test_clean_netlist(self):
-        assert simple_netlist().validate() == []
-
-    def test_dangling_references_reported(self):
-        netlist = simple_netlist()
-        netlist.component("cpu").master_of = "ghost"
-        netlist.component("mem").slave_of = "phantom"
-        problems = netlist.validate()
-        assert len(problems) == 2
-        assert any("ghost" in p for p in problems)
-        assert any("phantom" in p for p in problems)
-
-    def test_duplicate_base_addresses_reported(self):
-        netlist = simple_netlist()
-        netlist.add("mem2", Memory, slave_of="bus", base=0, size_words=4)
-        problems = netlist.validate()
-        assert any("share base address" in p for p in problems)
-
-    def test_different_buses_may_share_base(self):
-        netlist = simple_netlist()
-        netlist.add("bus2", Bus, clock_freq_hz=100e6)
-        netlist.add("mem2", Memory, slave_of="bus2", base=0, size_words=4)
-        assert netlist.validate() == []
-
-
 class TestElaboration:
     def test_instances_built_and_bound(self):
         netlist = simple_netlist()

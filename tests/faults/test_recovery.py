@@ -19,7 +19,7 @@ from repro.core import (
     recovery_preset,
 )
 from repro.faults import FaultInjector, FaultSpec
-from repro.kernel import ZERO_TIME, us
+from repro.kernel import ZERO_TIME, ProcessError, us
 from tests.faults.helpers import RIG_INFO, access, make_rig, rig_design
 
 
@@ -99,6 +99,17 @@ class TestRetryBackoff:
         assert stats.config_retries == RETRY_BACKOFF.max_retries + 1
         assert stats.fallbacks == 1
         assert rig.drcf.loaded_corrupted("s0") is True
+
+
+class TestPairedBit31Upsets:
+    def test_verified_fetch_rejects_the_damaged_image(self):
+        """Two upsets in bit 31 of the stored image (words 3 and 77): every
+        fetch fails its checksum, so the DRCF retries and then raises."""
+        rig = make_rig(recovery=RecoveryPolicy(verify=True, max_retries=1))
+        rig.cfgmem.corrupt_region("s0", [3 * 32 + 31, 77 * 32 + 31])
+        with pytest.raises(ProcessError, match="failed its checksum 2 times"):
+            access(rig, 0)
+        assert rig.drcf.stats.config_retries == 2
 
 
 class TestVerifyOnly:

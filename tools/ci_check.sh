@@ -13,7 +13,7 @@
 #      poll-train differential tests (closed form against kernel round trip),
 #      the monitor record property test, the bus property tests (every
 #      transfer's monitor record) and the memory property tests (the region
-#      checksum against the plain FNV-1a loop, the paged store, the verdict
+#      checksum against an independent CRC-32, the paged store, the verdict
 #      memo), under the `ci` hypothesis profile
 #   3. ruff check (skipped with a notice when ruff is not installed)
 #   4. static model lint over every example architecture, including the
@@ -21,7 +21,8 @@
 #      layers (must be clean), plus a wall-clock bound on the analyzers
 #      (tools/bench_lint.py --check)
 #   5. fault-campaign smoke: seeded campaigns must reproduce byte-for-byte,
-#      with the default retry preset and with full recovery (scrubbing)
+#      with the default retry preset, with full recovery (scrubbing) and
+#      with no recovery (fault hooks armed, fetched bitstreams unverified)
 #   6. DSE sweep smoke: parallel + cached sweeps must be byte-identical to
 #      serial re-runs (workers 1 and 2), and the warmed cache must hit;
 #      plus the ADRIATIC flow CLI, whose output must be byte-identical
@@ -56,6 +57,7 @@ python tools/bench_lint.py --check
 echo "== 5/6 fault-campaign reproducibility smoke =="
 python -m repro inject --builtin modem --trials 8 --seed 7 --check
 python -m repro inject --builtin modem --trials 8 --seed 7 --recovery full --check
+python -m repro inject --builtin modem --trials 8 --seed 7 --recovery none --check
 
 echo "== 6/6 DSE sweep and flow reproducibility smoke =="
 SWEEP_ARGS="--techs asic,morphosys --workloads interleaved --accels fir,xtea --frames 1"
