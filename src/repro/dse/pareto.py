@@ -7,9 +7,10 @@ present the non-dominated set.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from .explorer import DsePoint
+if TYPE_CHECKING:
+    from .explorer import DsePoint
 
 #: An objective: (metric key, "min" or "max").
 Objective = Tuple[str, str]

@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .explorer import DsePoint
+if TYPE_CHECKING:
+    from .explorer import DsePoint
 
 
 def _union_columns(rows: Sequence[Dict[str, object]]) -> List[str]:

@@ -25,6 +25,7 @@ reproduced exactly by its seed.
 from __future__ import annotations
 
 import random
+import struct
 from typing import Dict, List, Optional, Sequence
 
 from ..kernel import SimTime, SimulationError, ns, us
@@ -164,7 +165,13 @@ class FaultInjector:
                 size = len(data)
                 keep = max(0, min(size - 1, int(size * (1.0 - spec.drop_fraction))))
                 data = list(data[:keep])
-                data += [self.rng.getrandbits(32) for _ in range(keep, size)]
+                # One draw of 32 * n bits gives the words of n getrandbits(32)
+                # calls, least significant first, and leaves the generator
+                # where those calls would (CPython fills it from the same
+                # 32-bit outputs).
+                n = size - keep
+                garbage = self.rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+                data += struct.unpack(f"<{n}I", garbage)
                 self._log(f"truncate {context_name}: words [{keep}:{size}] garbled")
         return data
 

@@ -1,6 +1,7 @@
 """docs/API.md must match the code (regenerate-and-compare)."""
 
 import os
+import subprocess
 import sys
 
 API_MD = os.path.join(os.path.dirname(__file__), "..", "..", "docs", "API.md")
@@ -36,3 +37,15 @@ class TestApiReference:
         text = _generate()
         for package in ("repro.kernel", "repro.core", "repro.dse", "repro.analysis"):
             assert f"## `{package}`" in text
+
+
+def test_help_prints_usage_and_writes_nothing(tmp_path):
+    done = subprocess.run(
+        [sys.executable, os.path.abspath(os.path.join(TOOLS, "gen_api_docs.py")), "--help"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: gen_api_docs.py [-h] [output]")
+    assert list(tmp_path.iterdir()) == []

@@ -97,6 +97,17 @@ class TestTruncate:
         # One-shot: the next fetch of s0 passes through as is.
         assert injector.filter_bitstream("drcf", "s0", bitstream) is bitstream
 
+    @pytest.mark.parametrize("seed", [0, 7, 42, 1009])
+    @pytest.mark.parametrize("size", [1, 2, 3, 100, 14_907])
+    def test_garbage_matches_word_by_word_draws(self, seed, size):
+        rig = make_rig()
+        injector = attach(rig, FaultSpec("truncate", "s0", at_ns=0.0, drop_fraction=1.0), seed=seed)
+        garbled = injector.filter_bitstream("drcf", "s0", [0] * size)
+        draws = random.Random(seed)
+        assert garbled == [draws.getrandbits(32) for _ in range(size)]
+        # The generator is left where the word-by-word draws leave it.
+        assert injector.rng.getrandbits(32) == draws.getrandbits(32)
+
     def test_first_fetch_is_marked_corrupted(self):
         rig = make_rig()
         attach(rig, FaultSpec("truncate", "s0", at_ns=0.0))

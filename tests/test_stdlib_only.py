@@ -1,5 +1,6 @@
 """``src/`` needs nothing beyond the standard library: importing every
-package in a fresh interpreter loads no third-party module."""
+package in a fresh interpreter, and reading every name in its ``__all__``,
+loads no third-party module."""
 
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 PACKAGES = (
     "repro.apps",
+    "repro.apps.accelerators",
     "repro.bus",
     "repro.core",
     "repro.cpu",
@@ -16,16 +18,20 @@ PACKAGES = (
     "repro.faults",
     "repro.analysis",
     "repro.kernel",
+    "repro.parallel",
     "repro.tech",
     "repro.cli",
 )
 # Diffing sys.modules leaves out what the interpreter and ``site`` loaded
-# before the imports.
+# before the imports.  Reading every public name loads the submodules of a
+# package that imports them on first use (``repro.dse``).
 PROBE = """
 import importlib, json, sys
 before = set(sys.modules)
 for name in sys.argv[1:]:
-    importlib.import_module(name)
+    module = importlib.import_module(name)
+    for attr in getattr(module, "__all__", ()):
+        getattr(module, attr)
 print(json.dumps(sorted({name.split(".")[0] for name in set(sys.modules) - before})))
 """
 

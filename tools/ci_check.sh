@@ -19,7 +19,8 @@
 #   4. static model lint over every example architecture, including the
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
 #      layers (must be clean), plus a wall-clock bound on the analyzers
-#      (tools/bench_lint.py --check)
+#      (tools/bench_lint.py --check); then every examples/*.py runs in a
+#      fresh interpreter from a scratch working directory and must exit 0
 #   5. fault-campaign smoke: seeded campaigns must reproduce byte-for-byte,
 #      with the default retry preset, with full recovery (scrubbing) and
 #      with no recovery (fault hooks armed, fetched bitstreams unverified)
@@ -30,7 +31,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
+# Absolute, so that code run from a scratch directory still finds src/.
+export PYTHONPATH="$PWD/src${PYTHONPATH:+:$PYTHONPATH}"
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
 
 echo "== 1/6 tier-1 tests + golden-function differential tests (ci profile) =="
 python -m pytest tests -q
@@ -50,9 +54,15 @@ else
     echo "ruff not installed; skipping (config lives in pyproject.toml)"
 fi
 
-echo "== 4/6 static model lint over examples/ (dataflow + cfg + interproc layers) =="
+echo "== 4/6 static model lint over examples/ (dataflow + cfg + interproc layers), then every example =="
 python -m repro lint --dataflow --cfg --interproc examples/*.py
 python tools/bench_lint.py --check
+# Examples write into the working directory (dse_sweep.py its .dse-cache/,
+# multifabric_modem.py a VCD), so they run from a scratch one.
+for example in "$PWD"/examples/*.py; do
+    echo "example: ${example##*/}"
+    (cd "$WORK" && python "$example" > /dev/null)
+done
 
 echo "== 5/6 fault-campaign reproducibility smoke =="
 python -m repro inject --builtin modem --trials 8 --seed 7 --check
@@ -65,10 +75,8 @@ python -m repro sweep $SWEEP_ARGS --workers 1 --check --json > /dev/null
 python -m repro sweep $SWEEP_ARGS --workers 2 --check --json > /dev/null
 python tools/bench_sweep.py --check
 FLOW_ARGS="--tech virtex2pro --frames 1"
-FLOW_OUT="$(mktemp -d)"
-trap 'rm -rf "$FLOW_OUT"' EXIT
-PYTHONHASHSEED=0 python -m repro flow $FLOW_ARGS > "$FLOW_OUT/hashseed0.txt"
-PYTHONHASHSEED=1 python -m repro flow $FLOW_ARGS > "$FLOW_OUT/hashseed1.txt"
-cmp "$FLOW_OUT/hashseed0.txt" "$FLOW_OUT/hashseed1.txt"
+PYTHONHASHSEED=0 python -m repro flow $FLOW_ARGS > "$WORK/hashseed0.txt"
+PYTHONHASHSEED=1 python -m repro flow $FLOW_ARGS > "$WORK/hashseed1.txt"
+cmp "$WORK/hashseed0.txt" "$WORK/hashseed1.txt"
 
 echo "ci_check: all gates passed"

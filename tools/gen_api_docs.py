@@ -6,11 +6,12 @@ name's kind and first docstring line into a markdown reference.  The test
 ``tests/docs/test_api_reference.py`` regenerates the document and compares
 it with the checked-in copy, so the reference cannot go stale.
 
-Run:  python tools/gen_api_docs.py [output_path]
+Run:  python tools/gen_api_docs.py [output]
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import inspect
 import sys
@@ -82,7 +83,10 @@ def generate() -> str:
 
 
 def main() -> int:
-    output = sys.argv[1] if len(sys.argv) > 1 else "docs/API.md"
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("output", nargs="?", default="docs/API.md",
+                        help="file to write (default: docs/API.md)")
+    output = parser.parse_args().output
     text = generate()
     with open(output, "w", encoding="utf-8") as fh:
         fh.write(text)
