@@ -710,63 +710,68 @@ def cross_check(
         return {}
     sim = Simulator(name="lint_confirm")
     try:
-        design = netlist.elaborate(sim)
-    except Exception:
-        return {(d.code, d.location): "unconfirmed" for d in targets}
-    top = design.top
-    modules = {m.full_name: m for m in [top, *top.descendants()]}
+        try:
+            design = netlist.elaborate(sim)
+        except Exception:
+            return {(d.code, d.location): "unconfirmed" for d in targets}
+        top = design.top
+        modules = {m.full_name: m for m in [top, *top.descendants()]}
 
-    def _located(location: str) -> object:
-        module_name, _, attr = location.rpartition(".")
-        module = modules.get(module_name)
-        if module is None:
-            return None
-        return vars(module).get(attr)
+        def _located(location: str) -> object:
+            module_name, _, attr = location.rpartition(".")
+            module = modules.get(module_name)
+            if module is None:
+                return None
+            return vars(module).get(attr)
 
-    race_signals: Dict[str, Signal] = {}
-    dead_events: Dict[str, Event] = {}
-    for diag in targets:
-        obj = _located(diag.location)
-        if diag.code == "REP401" and isinstance(obj, Signal):
-            race_signals[diag.location] = obj
-        elif diag.code == "REP405" and isinstance(obj, Event):
-            dead_events[diag.location] = obj
+        race_signals: Dict[str, Signal] = {}
+        dead_events: Dict[str, Event] = {}
+        for diag in targets:
+            obj = _located(diag.location)
+            if diag.code == "REP401" and isinstance(obj, Signal):
+                race_signals[diag.location] = obj
+            elif diag.code == "REP405" and isinstance(obj, Event):
+                dead_events[diag.location] = obj
 
-    raced: Set[str] = set()
-    if race_signals:
-        location_by_id = {id(sig): loc for loc, sig in race_signals.items()}
-        writers: Dict[int, Tuple[Tuple[int, int], Set[str]]] = {}
+        raced: Set[str] = set()
+        if race_signals:
+            location_by_id = {id(sig): loc for loc, sig in race_signals.items()}
+            writers: Dict[int, Tuple[Tuple[int, int], Set[str]]] = {}
 
-        def _hook(signal: Signal, value: object) -> None:
-            instant = (sim._now_fs, sim.delta_count)
-            process = sim.current_process
-            who = process.name if process is not None else "<elaboration>"
-            record = writers.get(id(signal))
-            if record is None or record[0] != instant:
-                writers[id(signal)] = (instant, {who})
-            else:
-                record[1].add(who)
-                if len(record[1]) >= 2:
-                    raced.add(location_by_id[id(signal)])
+            def _hook(signal: Signal, value: object) -> None:
+                instant = (sim._now_fs, sim.delta_count)
+                process = sim.current_process
+                who = process.name if process is not None else "<elaboration>"
+                record = writers.get(id(signal))
+                if record is None or record[0] != instant:
+                    writers[id(signal)] = (instant, {who})
+                else:
+                    record[1].add(who)
+                    if len(record[1]) >= 2:
+                        raced.add(location_by_id[id(signal)])
 
+            for sig in race_signals.values():
+                sig.write_hook = _hook
+
+        try:
+            sim.run(
+                until=until if until is not None else us(10),
+                max_deltas_per_instant=max_deltas_per_instant,
+                max_wall_s=max_wall_s,
+            )
+        except Exception:
+            pass  # a crashing design still leaves the collected evidence usable
         for sig in race_signals.values():
-            sig.write_hook = _hook
+            sig.write_hook = None  # it holds the simulator
 
-    try:
-        sim.run(
-            until=until if until is not None else us(10),
-            max_deltas_per_instant=max_deltas_per_instant,
-            max_wall_s=max_wall_s,
-        )
-    except Exception:
-        pass  # a crashing design still leaves the collected evidence usable
-
-    statuses: Dict[Tuple[str, str], str] = {}
-    for diag in targets:
-        if diag.code == "REP401":
-            witnessed = diag.location in raced
-        else:
-            event = dead_events.get(diag.location)
-            witnessed = event is not None and event.trigger_count == 0
-        statuses[(diag.code, diag.location)] = "confirmed" if witnessed else "unconfirmed"
+        statuses: Dict[Tuple[str, str], str] = {}
+        for diag in targets:
+            if diag.code == "REP401":
+                witnessed = diag.location in raced
+            else:
+                event = dead_events.get(diag.location)
+                witnessed = event is not None and event.trigger_count == 0
+            statuses[(diag.code, diag.location)] = "confirmed" if witnessed else "unconfirmed"
+    finally:
+        sim.close()
     return statuses

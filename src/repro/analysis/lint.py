@@ -431,66 +431,74 @@ def run_lint(
         candidates=list(candidates) if candidates else None,
         config_memory=config_memory,
     )
-    if ctx.netlist is not None:
-        _run_layer("netlist", ctx, select_list, ignore_list, diagnostics)
-        if ctx.candidates:
-            _run_layer("transform", ctx, select_list, ignore_list, diagnostics)
-        if ctx.top is None and elaborate:
-            try:
-                ctx.top = ctx.netlist.elaborate(Simulator(name="lint")).top
-            except Exception as exc:
-                if _enabled("REP001", select_list, ignore_list):
-                    diagnostics.append(
-                        Diagnostic(
-                            "REP001",
-                            "error",
-                            f"netlist does not elaborate: {exc}",
-                            location=ctx.netlist.name,
-                            hint="fix the static diagnostics and re-run",
+    # The simulator of this run's own elaboration, closed once every
+    # layer has read the design.
+    scratch: Optional[Simulator] = None
+    try:
+        if ctx.netlist is not None:
+            _run_layer("netlist", ctx, select_list, ignore_list, diagnostics)
+            if ctx.candidates:
+                _run_layer("transform", ctx, select_list, ignore_list, diagnostics)
+            if ctx.top is None and elaborate:
+                try:
+                    scratch = Simulator(name="lint")
+                    ctx.top = ctx.netlist.elaborate(scratch).top
+                except Exception as exc:
+                    if _enabled("REP001", select_list, ignore_list):
+                        diagnostics.append(
+                            Diagnostic(
+                                "REP001",
+                                "error",
+                                f"netlist does not elaborate: {exc}",
+                                location=ctx.netlist.name,
+                                hint="fix the static diagnostics and re-run",
+                            )
                         )
-                    )
-    if ctx.top is not None:
-        _run_layer("design", ctx, select_list, ignore_list, diagnostics)
-        _run_layer("drcf", ctx, select_list, ignore_list, diagnostics)
-        if dataflow:
-            try:
-                ctx.dataflow_analysis()
-            except Exception as exc:
-                if _enabled("REP001", select_list, ignore_list):
-                    diagnostics.append(
-                        Diagnostic(
-                            "REP001",
-                            "error",
-                            f"dataflow analysis failed: {exc}",
-                            location="dataflow",
+        if ctx.top is not None:
+            _run_layer("design", ctx, select_list, ignore_list, diagnostics)
+            _run_layer("drcf", ctx, select_list, ignore_list, diagnostics)
+            if dataflow:
+                try:
+                    ctx.dataflow_analysis()
+                except Exception as exc:
+                    if _enabled("REP001", select_list, ignore_list):
+                        diagnostics.append(
+                            Diagnostic(
+                                "REP001",
+                                "error",
+                                f"dataflow analysis failed: {exc}",
+                                location="dataflow",
+                            )
                         )
-                    )
-            else:
-                _run_layer("dataflow", ctx, select_list, ignore_list, diagnostics)
-        if cfg:
-            try:
-                # REP503/505/506 correlate control flow with the dataflow
-                # summaries, so both analyses must be buildable.
-                ctx.dataflow_analysis()
-                ctx.cfg_analysis()
-            except Exception as exc:
-                if _enabled("REP001", select_list, ignore_list):
-                    diagnostics.append(
-                        Diagnostic(
-                            "REP001",
-                            "error",
-                            f"control-flow analysis failed: {exc}",
-                            location="cfg",
+                else:
+                    _run_layer("dataflow", ctx, select_list, ignore_list, diagnostics)
+            if cfg:
+                try:
+                    # REP503/505/506 correlate control flow with the dataflow
+                    # summaries, so both analyses must be buildable.
+                    ctx.dataflow_analysis()
+                    ctx.cfg_analysis()
+                except Exception as exc:
+                    if _enabled("REP001", select_list, ignore_list):
+                        diagnostics.append(
+                            Diagnostic(
+                                "REP001",
+                                "error",
+                                f"control-flow analysis failed: {exc}",
+                                location="cfg",
+                            )
                         )
-                    )
-            else:
-                _run_layer("cfg", ctx, select_list, ignore_list, diagnostics)
-        if interproc:
-            # Each REP6xx rule builds what it needs lazily (lock traces,
-            # reachable blocking calls) and degrades to silence on unresolved
-            # bodies; a genuinely crashing rule is caught per-rule by
-            # _run_layer and reported as REP001.
-            _run_layer("interproc", ctx, select_list, ignore_list, diagnostics)
+                else:
+                    _run_layer("cfg", ctx, select_list, ignore_list, diagnostics)
+            if interproc:
+                # Each REP6xx rule builds what it needs lazily (lock traces,
+                # reachable blocking calls) and degrades to silence on unresolved
+                # bodies; a genuinely crashing rule is caught per-rule by
+                # _run_layer and reported as REP001.
+                _run_layer("interproc", ctx, select_list, ignore_list, diagnostics)
+    finally:
+        if scratch is not None:
+            scratch.close()
     diagnostics.sort(key=lambda d: (d.code, d.location, d.message))
     return LintReport(diagnostics)
 
@@ -581,6 +589,7 @@ def _slave_ranges(
     for spec in netlist.specs:
         if spec.slave_of is None or not callable(spec.factory):
             continue
+        scratch = None
         try:
             instance = design.instance_of(spec) if design is not None else None
             if instance is None:
@@ -589,6 +598,9 @@ def _slave_ranges(
             ranges[spec.name] = (int(instance.get_low_add()), int(instance.get_high_add()))
         except Exception:
             continue
+        finally:
+            if scratch is not None:
+                scratch.close()
     return ranges
 
 

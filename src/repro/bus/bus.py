@@ -178,6 +178,12 @@ class Bus(Module, BusMasterIf):
         self.closed_form_polls = 0
         self.closed_form_poll_declines: Dict[str, int] = dict.fromkeys(POLL_TRAIN_DECLINES, 0)
 
+    def end_of_simulation(self) -> None:
+        """The arbiter drops its simulator with the design's."""
+        arbiter = getattr(self, "arbiter", None)  # None if __init__ raised first
+        if arbiter is not None:
+            arbiter.sim = None
+
     # -- construction -----------------------------------------------------------
     @property
     def word_bytes(self) -> int:

@@ -35,6 +35,7 @@ transient read errors hit every burst that overlaps a region
 
 from __future__ import annotations
 
+import sys
 import zlib
 from array import array
 from functools import lru_cache
@@ -49,28 +50,38 @@ _PAGE_WORDS = 1 << _PAGE_BITS
 _PAGE_MASK = _PAGE_WORDS - 1
 
 
+#: The ``array`` type code of each word width it packs natively.
+_TYPECODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
 @lru_cache(maxsize=None)
-def _zero_checksum(n_words: int) -> int:
-    """:func:`region_checksum` of ``n_words`` zero words, once per size."""
-    return zlib.crc32(bytes(4 * n_words))
+def _zero_checksum(n_words: int, word_bytes: int) -> int:
+    """:func:`region_checksum` of ``n_words`` zero words, once per size
+    and width."""
+    return zlib.crc32(bytes(word_bytes * n_words))
 
 
-def region_checksum(words) -> int:
+def region_checksum(words, word_bytes: int = 4) -> int:
     """CRC-32 over a word sequence: the bitstream integrity check.
 
-    The words are packed as native unsigned 32-bit ints (``array("I")``)
-    and hashed by ``zlib.crc32``, which detects every 1- and 2-bit error
-    and every error burst of up to 32 bits.  A word outside 0..2**32-1
-    counts as its low 32 bits.  An all-zero sequence (an unwritten
-    bitstream) takes the memoized CRC of its size.
+    Each word is packed as a native-order unsigned integer of
+    ``word_bytes`` bytes (``array("I")`` for the default 4) and the bytes
+    are hashed by ``zlib.crc32``, which detects every 1- and 2-bit error
+    and every error burst of up to 32 bits.  A word outside the width
+    counts as its low ``8 * word_bytes`` bits.  An all-zero sequence (an
+    unwritten bitstream) takes the memoized CRC of its size.
     """
     size = len(words)
     if words.count(0) == size:
-        return _zero_checksum(size)
-    try:
-        packed = array("I", words)
-    except OverflowError:
-        packed = array("I", [word & 0xFFFFFFFF for word in words])
+        return _zero_checksum(size, word_bytes)
+    code = _TYPECODES.get(word_bytes)
+    if code is not None:
+        try:
+            return zlib.crc32(array(code, words))
+        except OverflowError:
+            pass
+    mask = (1 << 8 * word_bytes) - 1
+    packed = b"".join((word & mask).to_bytes(word_bytes, sys.byteorder) for word in words)
     return zlib.crc32(packed)
 
 
@@ -352,8 +363,8 @@ class ConfigMemory(Memory):
         index = self._index(addr, words)
         first, last = index >> _PAGE_BITS, (index + words - 1) >> _PAGE_BITS
         if self.fill == 0 and not any(first <= page_no <= last for page_no in self._pages):
-            return _zero_checksum(words)  # never written: all zero words
-        return region_checksum(self._load(index, words))
+            return _zero_checksum(words, self.word_bytes)  # never written: all zero words
+        return region_checksum(self._load(index, words), self.word_bytes)
 
     def region_of(self, context_name: str) -> Tuple[int, int]:
         """The (address, size) registered for ``context_name``."""

@@ -490,12 +490,15 @@ def cmd_deadlock(args) -> int:
                 bus_protocol=protocol, dedicated_config_bus=dedicated,
             )
             sim = Simulator()
-            design = netlist.elaborate(sim)
-            jobs = frame_interleaved_jobs(("fir", "fft"), 1, seed=5)
-            runner = JobRunner(info.accel_bases, info.buffer_words)
-            design["cpu"].run_task(runner.task(jobs), name="wl")
-            sim.run()
-            report = diagnose(sim, buses=[design["system_bus"]])
+            try:
+                design = netlist.elaborate(sim)
+                jobs = frame_interleaved_jobs(("fir", "fft"), 1, seed=5)
+                runner = JobRunner(info.accel_bases, info.buffer_words)
+                design["cpu"].run_task(runner.task(jobs), name="wl")
+                sim.run()
+                report = diagnose(sim, buses=[design["system_bus"]])
+            finally:
+                sim.close()
             rows.append(
                 {
                     "protocol": protocol,

@@ -239,6 +239,16 @@ class Drcf(Module, BusSlaveIf):
                             context.name, self.sim.now - start
                         )
 
+    def end_of_simulation(self) -> None:
+        """Drop the fabric's own cycles: the context scheduler's and the
+        contexts' ``compute_sink`` closures."""
+        scheduler = getattr(self, "scheduler", None)  # None if __init__ raised first
+        if scheduler is not None:
+            scheduler.end_of_simulation()
+        for context in getattr(self, "contexts", ()):
+            if hasattr(context.module, "compute_sink"):
+                context.module.compute_sink = None
+
     def _make_compute_sink(self, context_name: str):
         def sink(start, end):
             self.stats.record_compute(context_name, start, end)
@@ -445,7 +455,9 @@ class Drcf(Module, BusSlaveIf):
                 )
             if checksum is None:
                 break
-            corrupted = region_checksum(bitstream) != checksum
+            # At the width of the words fetched, which the configuration
+            # memory took the expected checksum at.
+            corrupted = region_checksum(bitstream, self.word_bytes) != checksum
             if not (corrupted and recovery.verify):
                 # With verification off a bad load goes unnoticed by the
                 # modeled hardware, but the model remembers the truth.

@@ -100,6 +100,14 @@ class ContextScheduler:
         self.switch_listeners: List[Callable[[str], None]] = []
         sim.spawn(f"{name}.arb_and_instr", self._arb_and_instr, daemon=True)
 
+    def end_of_simulation(self) -> None:
+        """Drop the simulator, the fetch callback (the owning DRCF's bound
+        ``_fetch_config``) and the switch listeners, which all point back
+        into the design (:meth:`Drcf.end_of_simulation`)."""
+        self.sim = None
+        self._fetch = None
+        self.switch_listeners.clear()
+
     # -- public API (called from DRCF interface methods) ----------------------
     def is_active(self, context: Context) -> bool:
         """Step 2 predicate: is ``context`` the currently active one?"""

@@ -120,27 +120,30 @@ def analyze_module_spec(spec: ComponentSpec) -> ModuleAnalysis:
     address range — the Python analogue of parsing the SystemC class.
     """
     scratch = Simulator(name="analysis")
-    instance = spec.factory(spec.name, sim=scratch, **spec.kwargs)
-    interfaces = [cls.__name__ for cls in implemented_interfaces(instance)]
-    ports = [
-        (port.name, port.iface.__name__ if port.iface else None)
-        for port in ports_of(instance)
-    ]
-    if not hasattr(instance, "get_low_add") or not hasattr(instance, "get_high_add"):
-        raise ElaborationError(
-            f"candidate {spec.name!r} lacks get_low_add/get_high_add; the "
-            "methodology requires them to build the routing multiplexer "
-            "(paper Section 5.4, limitation 2)"
+    try:
+        instance = spec.factory(spec.name, sim=scratch, **spec.kwargs)
+        interfaces = [cls.__name__ for cls in implemented_interfaces(instance)]
+        ports = [
+            (port.name, port.iface.__name__ if port.iface else None)
+            for port in ports_of(instance)
+        ]
+        if not hasattr(instance, "get_low_add") or not hasattr(instance, "get_high_add"):
+            raise ElaborationError(
+                f"candidate {spec.name!r} lacks get_low_add/get_high_add; the "
+                "methodology requires them to build the routing multiplexer "
+                "(paper Section 5.4, limitation 2)"
+            )
+        gates = int(spec.kwargs.get("gates", getattr(instance, "gates", 10_000)))
+        return ModuleAnalysis(
+            class_name=spec.factory_name,
+            interfaces=interfaces,
+            ports=ports,
+            low_addr=instance.get_low_add(),
+            high_addr=instance.get_high_add(),
+            gates=gates,
         )
-    gates = int(spec.kwargs.get("gates", getattr(instance, "gates", 10_000)))
-    return ModuleAnalysis(
-        class_name=spec.factory_name,
-        interfaces=interfaces,
-        ports=ports,
-        low_addr=instance.get_low_add(),
-        high_addr=instance.get_high_add(),
-        gates=gates,
-    )
+    finally:
+        scratch.close()
 
 
 # --------------------------------------------------------------------------

@@ -93,104 +93,107 @@ def evaluate_architecture(params: Dict[str, object], *, verify: bool = True) -> 
             netlist.component(info.drcf_name).factory = Ref8Drcf
 
     sim = Simulator()
-    design = netlist.elaborate(sim)
-    gap = params.get("background_gap_cycles")
-    if gap is not None:
-        from ..cpu import TrafficGenerator
+    try:
+        design = netlist.elaborate(sim)
+        gap = params.get("background_gap_cycles")
+        if gap is not None:
+            from ..cpu import TrafficGenerator
 
-        generator = TrafficGenerator(
-            "bg",
-            parent=design.top,
-            base=0x0000_8000,  # upper half of the data memory
-            span_bytes=32 * 1024,
-            gap_cycles=int(gap),
-            seed=int(params.get("seed", 42)) + 1,
-            n_transactions=None,
-        )
-        generator.mst_port.bind(design["system_bus"])
-    if tech_name != "asic" and bool(params.get("prefetch", False)):
-        prefetcher = ContextPrefetcher(
-            "prefetcher",
-            parent=design.top,
-            drcf=design[info.drcf_name],
-            predictor=SequencePredictor(list(accels)),
-        )
-    runner = JobRunner(info.accel_bases, info.buffer_words)
-    workload_proc = design[info.cpu_name].run_task(runner.task(jobs), name="workload")
-    if gap is not None:
-        # The background generator never starves the event queue; end the
-        # run when the workload completes instead.
-        def stopper():
-            yield workload_proc.terminated_event
-            sim.stop()
+            generator = TrafficGenerator(
+                "bg",
+                parent=design.top,
+                base=0x0000_8000,  # upper half of the data memory
+                span_bytes=32 * 1024,
+                gap_cycles=int(gap),
+                seed=int(params.get("seed", 42)) + 1,
+                n_transactions=None,
+            )
+            generator.mst_port.bind(design["system_bus"])
+        if tech_name != "asic" and bool(params.get("prefetch", False)):
+            prefetcher = ContextPrefetcher(
+                "prefetcher",
+                parent=design.top,
+                drcf=design[info.drcf_name],
+                predictor=SequencePredictor(list(accels)),
+            )
+        runner = JobRunner(info.accel_bases, info.buffer_words)
+        workload_proc = design[info.cpu_name].run_task(runner.task(jobs), name="workload")
+        if gap is not None:
+            # The background generator never starves the event queue; end the
+            # run when the workload completes instead.
+            def stopper():
+                yield workload_proc.terminated_event
+                sim.stop()
 
-        sim.spawn("stopper", stopper)
-    sim.run()
+            sim.spawn("stopper", stopper)
+        sim.run()
 
-    if len(runner.results) != len(jobs):
-        raise SimulationError(
-            f"workload incomplete: {len(runner.results)}/{len(jobs)} jobs "
-            f"finished (deadlock?)"
-        )
-    if verify:
-        for result in runner.results:
-            if result.outputs != golden_outputs(result.spec):
-                raise SimulationError(
-                    f"job {result.spec.label} produced wrong output"
-                )
+        if len(runner.results) != len(jobs):
+            raise SimulationError(
+                f"workload incomplete: {len(runner.results)}/{len(jobs)} jobs "
+                f"finished (deadlock?)"
+            )
+        if verify:
+            for result in runner.results:
+                if result.outputs != golden_outputs(result.spec):
+                    raise SimulationError(
+                        f"job {result.spec.label} produced wrong output"
+                    )
 
-    bus = design[info.bus_name]
-    makespan_ns = max(r.end_ns for r in runner.results)
-    metrics: Dict[str, object] = {
-        "makespan_us": makespan_ns / 1e3,
-        "jobs": len(runner.results),
-        "mean_job_latency_us": runner.total_latency_ns / len(runner.results) / 1e3,
-        "bus_utilization": bus.monitor.utilization(sim.now),
-        "bus_data_words": bus.monitor.words_without_tag("config"),
-        "bus_config_words": bus.monitor.words_by_tag("config"),
-    }
-    gates = accelerator_gate_counts(accels)
-    if tech_name == "asic":
-        metrics.update(
-            switches=0,
-            fetch_misses=0,
-            prefetch_hits=0,
-            reconfig_time_us=0.0,
-            reconfig_overhead_fraction=0.0,
-            area_um2=architecture_area_um2(accels, asic_tech=ASIC),
-            fabric_gates=sum(gates.values()),
-            flexible=False,
-            area_saving_vs_static_fabric=0.0,
-        )
-    else:
-        drcf = design[info.drcf_name]
-        s = drcf.stats.summary()
-        tech = preset(tech_name)
-        # Dynamic sharing sizes the fabric for the *largest* context; the
-        # flexible alternative without dynamic reconfiguration needs the
-        # *sum* of all contexts resident (a statically configured fabric) —
-        # that ratio is the paper's area argument for run-time sharing.
-        dynamic_area = architecture_area_um2(
-            accels, asic_tech=ASIC, fabric_tech=tech, folded=accels
-        )
-        static_fabric_area = tech.fabric_area_um2(sum(gates.values()))
-        metrics.update(
-            switches=s["switches"],
-            fetch_misses=s["fetch_misses"],
-            prefetch_hits=s["prefetch_hits"],
-            reconfig_time_us=s["reconfig_time_ns"] / 1e3,
-            reconfig_overhead_fraction=s["reconfig_overhead_fraction"],
-            area_um2=dynamic_area,
-            area_static_fabric_um2=static_fabric_area,
-            area_saving_vs_static_fabric=1.0 - dynamic_area / static_fabric_area,
-            fabric_gates=drcf.largest_context_gates(),
-            flexible=True,
-        )
-        energy = PowerModel(tech).drcf_total(drcf, sim.now)
-        metrics["energy_mj"] = energy.total_j * 1e3
-        if prefetcher is not None:
-            metrics["prefetch_requests"] = prefetcher.requests_issued
-    return metrics
+        bus = design[info.bus_name]
+        makespan_ns = max(r.end_ns for r in runner.results)
+        metrics: Dict[str, object] = {
+            "makespan_us": makespan_ns / 1e3,
+            "jobs": len(runner.results),
+            "mean_job_latency_us": runner.total_latency_ns / len(runner.results) / 1e3,
+            "bus_utilization": bus.monitor.utilization(sim.now),
+            "bus_data_words": bus.monitor.words_without_tag("config"),
+            "bus_config_words": bus.monitor.words_by_tag("config"),
+        }
+        gates = accelerator_gate_counts(accels)
+        if tech_name == "asic":
+            metrics.update(
+                switches=0,
+                fetch_misses=0,
+                prefetch_hits=0,
+                reconfig_time_us=0.0,
+                reconfig_overhead_fraction=0.0,
+                area_um2=architecture_area_um2(accels, asic_tech=ASIC),
+                fabric_gates=sum(gates.values()),
+                flexible=False,
+                area_saving_vs_static_fabric=0.0,
+            )
+        else:
+            drcf = design[info.drcf_name]
+            s = drcf.stats.summary()
+            tech = preset(tech_name)
+            # Dynamic sharing sizes the fabric for the *largest* context; the
+            # flexible alternative without dynamic reconfiguration needs the
+            # *sum* of all contexts resident (a statically configured fabric) —
+            # that ratio is the paper's area argument for run-time sharing.
+            dynamic_area = architecture_area_um2(
+                accels, asic_tech=ASIC, fabric_tech=tech, folded=accels
+            )
+            static_fabric_area = tech.fabric_area_um2(sum(gates.values()))
+            metrics.update(
+                switches=s["switches"],
+                fetch_misses=s["fetch_misses"],
+                prefetch_hits=s["prefetch_hits"],
+                reconfig_time_us=s["reconfig_time_ns"] / 1e3,
+                reconfig_overhead_fraction=s["reconfig_overhead_fraction"],
+                area_um2=dynamic_area,
+                area_static_fabric_um2=static_fabric_area,
+                area_saving_vs_static_fabric=1.0 - dynamic_area / static_fabric_area,
+                fabric_gates=drcf.largest_context_gates(),
+                flexible=True,
+            )
+            energy = PowerModel(tech).drcf_total(drcf, sim.now)
+            metrics["energy_mj"] = energy.total_j * 1e3
+            if prefetcher is not None:
+                metrics["prefetch_requests"] = prefetcher.requests_issued
+        return metrics
+    finally:
+        sim.close()
 
 
 def evaluate_robustness(params: Dict[str, object]) -> Dict[str, object]:

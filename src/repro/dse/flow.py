@@ -125,15 +125,18 @@ class AdriaticFlow:
         elaboration error, next to the static findings) reads as a
         standalone lint of the netlist would.
         """
+        sim = Simulator()
         try:
-            design = netlist.elaborate(Simulator())
+            design = netlist.elaborate(sim)
         except Exception:
+            sim.close()
             report = run_lint(netlist, dataflow=True)
             if report.has_errors:
                 raise SimulationError(f"{failure}:\n{report.render()}") from None
             raise
         report = run_lint(netlist, design=design, dataflow=True)
         if report.has_errors:
+            sim.close()
             raise SimulationError(f"{failure}:\n{report.render()}")
         return design, report
 
@@ -142,29 +145,34 @@ class AdriaticFlow:
         design: ElaboratedDesign, info: SocInfo, jobs, golden: List[List[int]]
     ) -> StageRun:
         """Simulate ``jobs`` on ``design`` and check every job's outputs
-        against ``golden`` (stage 1's, aligned with ``jobs``)."""
-        runner = JobRunner(info.accel_bases, info.buffer_words)
-        design[info.cpu_name].run_task(runner.task(jobs), name="workload")
-        design.sim.run()
-        if len(runner.results) != len(jobs):
-            raise SimulationError("flow run incomplete")
-        # The runner records results in job order, so result i is job i's.
-        matches = all(r.outputs == expected for r, expected in zip(runner.results, golden))
-        bus = design[info.bus_name]
-        if info.drcf_name and info.drcf_name in design:
-            stats = design[info.drcf_name].stats.summary()
-            switches = int(stats["switches"])
-            reconfig_us = float(stats["reconfig_time_ns"]) / 1e3
-        else:
-            switches, reconfig_us = 0, 0.0
-        return StageRun(
-            makespan_us=max(r.end_ns for r in runner.results) / 1e3,
-            bus_config_words=bus.monitor.words_by_tag("config"),
-            bus_data_words=bus.monitor.words_without_tag("config"),
-            switches=switches,
-            reconfig_time_us=reconfig_us,
-            outputs_match_spec=matches,
-        )
+        against ``golden`` (stage 1's, aligned with ``jobs``), then close
+        the simulation; the design's modules keep what they measured."""
+        sim = design.sim
+        try:
+            runner = JobRunner(info.accel_bases, info.buffer_words)
+            design[info.cpu_name].run_task(runner.task(jobs), name="workload")
+            sim.run()
+            if len(runner.results) != len(jobs):
+                raise SimulationError("flow run incomplete")
+            # The runner records results in job order, so result i is job i's.
+            matches = all(r.outputs == expected for r, expected in zip(runner.results, golden))
+            bus = design[info.bus_name]
+            if info.drcf_name and info.drcf_name in design:
+                stats = design[info.drcf_name].stats.summary()
+                switches = int(stats["switches"])
+                reconfig_us = float(stats["reconfig_time_ns"]) / 1e3
+            else:
+                switches, reconfig_us = 0, 0.0
+            return StageRun(
+                makespan_us=max(r.end_ns for r in runner.results) / 1e3,
+                bus_config_words=bus.monitor.words_by_tag("config"),
+                bus_data_words=bus.monitor.words_without_tag("config"),
+                switches=switches,
+                reconfig_time_us=reconfig_us,
+                outputs_match_spec=matches,
+            )
+        finally:
+            sim.close()
 
     def run(self, *, back_annotate_scale: Optional[float] = None) -> FlowResult:
         """Execute all stages; optionally re-run with scaled reconfig delays.

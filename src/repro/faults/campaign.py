@@ -165,55 +165,60 @@ def _run_trial(payload: dict) -> dict:
         scenario.workload, scenario.accels, scenario.n_frames, seed=scenario.workload_seed
     )
     sim = Simulator()
-    design = netlist.elaborate(sim)
-    drcf = design[info.drcf_name]
-    drcf.set_recovery(recovery_preset(payload["recovery"]))
-    runner = JobRunner(info.accel_bases, info.buffer_words)
-    workload_proc = design[info.cpu_name].run_task(runner.task(jobs), name="workload")
-
-    # Daemons (the scrubber, background traffic) never starve the event
-    # queue; end the run when the workload completes instead.
-    def stopper():
-        yield workload_proc.terminated_event
-        sim.stop()
-
-    sim.spawn("stopper", stopper)
-
     injector = None
-    fault_dict = payload.get("fault")
-    if fault_dict is not None:
-        injector = FaultInjector(seed=payload["trial_seed"])
-        injector.arm(FaultSpec.from_dict(fault_dict))
-        injector.attach(sim, design, info)
+    try:
+        design = netlist.elaborate(sim)
+        drcf = design[info.drcf_name]
+        drcf.set_recovery(recovery_preset(payload["recovery"]))
+        runner = JobRunner(info.accel_bases, info.buffer_words)
+        workload_proc = design[info.cpu_name].run_task(runner.task(jobs), name="workload")
 
-    until_ns = payload.get("until_ns")
-    sim.run(
-        until=ns(until_ns) if until_ns is not None else None,
-        max_wall_s=payload.get("max_wall_s"),
-    )
+        # Daemons (the scrubber, background traffic) never starve the event
+        # queue; end the run when the workload completes instead.
+        def stopper():
+            yield workload_proc.terminated_event
+            sim.stop()
 
-    completed = len(runner.results) == len(jobs) and not sim.watchdog_fired
-    result = TrialResult(trial=payload["trial"], outcome="hang", fault=fault_dict)
-    if completed:
-        wrong = any(r.outputs != golden_outputs(r.spec) for r in runner.results)
-        stats = drcf.stats
-        actions = stats.recovery_actions
-        if wrong:
-            result.outcome = "sdc"
-        elif actions > 0:
-            result.outcome = "recovered"
-        else:
-            result.outcome = "masked"
-        result.makespan_ns = max(r.end_ns for r in runner.results)
-        result.recovery_actions = actions
-        result.recovery_time_ns = stats.total_recovery_time.to_ns()
-        result.config_retries = stats.config_retries
-        result.scrub_repairs = stats.scrub_repairs
-        result.fallbacks = stats.fallbacks
-        result.fetch_timeouts = stats.fetch_timeouts
-        result.events = (
-            [[t, msg] for t, msg in injector.events] if injector is not None else []
+        sim.spawn("stopper", stopper)
+
+        fault_dict = payload.get("fault")
+        if fault_dict is not None:
+            injector = FaultInjector(seed=payload["trial_seed"])
+            injector.arm(FaultSpec.from_dict(fault_dict))
+            injector.attach(sim, design, info)
+
+        until_ns = payload.get("until_ns")
+        sim.run(
+            until=ns(until_ns) if until_ns is not None else None,
+            max_wall_s=payload.get("max_wall_s"),
         )
+
+        completed = len(runner.results) == len(jobs) and not sim.watchdog_fired
+        result = TrialResult(trial=payload["trial"], outcome="hang", fault=fault_dict)
+        if completed:
+            wrong = any(r.outputs != golden_outputs(r.spec) for r in runner.results)
+            stats = drcf.stats
+            actions = stats.recovery_actions
+            if wrong:
+                result.outcome = "sdc"
+            elif actions > 0:
+                result.outcome = "recovered"
+            else:
+                result.outcome = "masked"
+            result.makespan_ns = max(r.end_ns for r in runner.results)
+            result.recovery_actions = actions
+            result.recovery_time_ns = stats.total_recovery_time.to_ns()
+            result.config_retries = stats.config_retries
+            result.scrub_repairs = stats.scrub_repairs
+            result.fallbacks = stats.fallbacks
+            result.fetch_timeouts = stats.fetch_timeouts
+            result.events = (
+                [[t, msg] for t, msg in injector.events] if injector is not None else []
+            )
+    finally:
+        if injector is not None:
+            injector.detach()
+        sim.close()
     return result.to_dict()
 
 

@@ -40,6 +40,8 @@ class FaultInjector:
         injector = FaultInjector(seed=7)
         injector.arm(FaultSpec("truncate", "fft", at_ns=5_000.0))
         injector.attach(sim, design, info)   # before sim.run()
+        sim.run()
+        injector.detach()                    # after the last read
 
     ``events`` records every applied fault as ``(t_ns, description)`` in
     application order — the audit trail campaigns put in their reports.
@@ -51,6 +53,7 @@ class FaultInjector:
         #: ``(sim_ns, description)`` log of every fault actually applied.
         self.events: List[tuple] = []
         self._sim = None
+        self._drcf = None
         self._memory = None
         #: One-shot consumption state: spec index -> remaining applications.
         self._remaining: Dict[int, int] = {}
@@ -80,9 +83,8 @@ class FaultInjector:
             raise SimulationError("injector already attached")
         self._attached = True
         self._sim = sim
-        drcf = design[info.drcf_name]
-        memory = design[info.config_memory_name]
-        self._memory = memory
+        drcf = self._drcf = design[info.drcf_name]
+        memory = self._memory = design[info.config_memory_name]
         known = {c.name for c in drcf.contexts}
         for spec in self.specs:
             if spec.target not in known:
@@ -94,6 +96,15 @@ class FaultInjector:
         memory.fault_hook = self
         if any(spec.kind == "bitflip" for spec in self.specs):
             sim.spawn("fault_injector.timed", self._timed_upsets, daemon=True)
+
+    def detach(self) -> None:
+        """Disarm the two fault hooks and drop the design and simulator,
+        once the run is over: the hooks point at this injector, and it
+        points back at the design.  :attr:`events` stays readable."""
+        if self._drcf is not None:
+            self._drcf.fault_hook = None
+            self._memory.fault_hook = None
+        self._sim = self._drcf = self._memory = None
 
     # -- timed upsets (bitflip) ---------------------------------------------
     def _timed_upsets(self):

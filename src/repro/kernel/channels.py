@@ -40,6 +40,7 @@ class Fifo(Generic[T]):
             raise ValueError("fifo capacity must be positive or None")
         self.sim = sim
         self.name = name
+        sim._kernel_objects.add(self)
         self.capacity = capacity
         self._items: Deque[T] = deque()
         self._data_written = Event(sim, f"{name}.data_written")
@@ -116,6 +117,7 @@ class Mutex:
     def __init__(self, sim: "Simulator", name: str = "mutex") -> None:
         self.sim = sim
         self.name = name
+        sim._kernel_objects.add(self)
         self._locked = False
         #: Name of the owning process/agent (caller-supplied label).
         self.owner: Optional[str] = None
@@ -185,6 +187,7 @@ class Semaphore:
             raise ValueError("semaphore initial value must be >= 0")
         self.sim = sim
         self.name = name
+        sim._kernel_objects.add(self)
         self._count = initial
         self._posted = Event(sim, f"{name}.posted")
 

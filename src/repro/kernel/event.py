@@ -67,11 +67,13 @@ class Event:
         "_trigger_count",
         "_last_trigger_fs",
         "_delta_entries",
+        "__weakref__",
     )
 
     def __init__(self, sim: "Simulator", name: str = "event") -> None:
         self.sim = sim
         self.name = name
+        sim._kernel_objects.add(self)
         # Insertion-ordered sets (dicts with None values): O(1) membership
         # and removal, deterministic iteration in registration order.
         self._static_waiters: Dict["Process", None] = {}

@@ -131,6 +131,28 @@ class Module:
         """Create an event named under this module."""
         return Event(self.sim, f"{self.full_name}.{name}")
 
+    # -- end of life -----------------------------------------------------------
+    def end_of_simulation(self) -> None:
+        """Called once by :meth:`Simulator.close`, after every process is
+        killed and before the design is cut from the simulator.
+
+        The SystemC ``end_of_simulation()`` callback: a component drops
+        the reference cycles it made itself (callbacks and closures that
+        point back into the design), so reference counting can free it.
+        The default does nothing.
+        """
+
+    def _detach(self) -> None:
+        """Cut this module from its simulator, its parent and its
+        processes, and unbind its ports (:meth:`Simulator.close`).  The
+        children stay, so the tree can still be read from the top."""
+        self.sim = None
+        self.parent = None
+        self._processes.clear()
+        for port in getattr(self, "_ports", ()):
+            port.unbind()
+            port.owner = None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.full_name!r})"
 

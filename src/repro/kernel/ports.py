@@ -124,6 +124,7 @@ class Port:
     def unbind(self) -> None:
         """Remove the current binding (used by model transformations)."""
         self._bound = None
+        self._resolved = None
         Port._bindings += 1
 
     def resolve(self) -> object:

@@ -235,6 +235,7 @@ class Process:
         "daemon",
         "terminated_event",
         "_wait_spec",
+        "__weakref__",
     )
 
     def __init__(self, sim: "Simulator", name: str) -> None:
@@ -304,6 +305,10 @@ class Process:
         for event in self.static_sensitivity:
             event._remove_static(self)
         self.terminated_event.notify_delta()
+
+    def _detach(self) -> None:
+        """Drop the simulator of a killed process (:meth:`Simulator.close`)."""
+        self.sim = None
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, {self.state.value})"
@@ -435,6 +440,11 @@ class ThreadProcess(Process):
             self._gen.close()
             self._gen = None
         super()._terminate()
+
+    def _detach(self) -> None:
+        # The handle points back at this process: drop the cycle too.
+        super()._detach()
+        self._wait_handle = None
 
 
 class _MethodTrigger:

@@ -50,11 +50,13 @@ class Signal(Generic[T]):
         "negedge",
         "_trace_callbacks",
         "write_hook",
+        "__weakref__",
     )
 
     def __init__(self, sim: "Simulator", init: T, name: str = "signal") -> None:
         self.sim = sim
         self.name = name
+        sim._kernel_objects.add(self)
         self._current: T = init
         self._next: T = init
         self._update_requested = False

@@ -48,6 +48,11 @@ round trips it skipped, so nothing observable changes.  The bus uses them
 to book whole bursts of an uncontended burst train, and a CPU's polls
 before the polled word can change, at once (see docs/KERNEL.md,
 "Closed-form trains").
+
+:meth:`Simulator.close` ends a simulation for good: it kills every
+process and cuts every reference from the design back to the simulator
+and up the module hierarchy, so reference counting frees a finished run
+as soon as its holders drop it (docs/KERNEL.md, "Ending a simulation").
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from __future__ import annotations
 import gc
 import heapq
 import time
+import weakref
 from collections import deque
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -181,6 +187,11 @@ class Simulator:
         self._processes: List[Process] = []
         self._top_modules: List[object] = []
         self._end_of_elaboration_hooks: List[Callable[[], None]] = []
+        # The events, signals and channels created against this simulator,
+        # whose ``sim`` close() cuts; weak, so a transient one (a grant or
+        # a switch request's event) still dies with its last user.
+        self._kernel_objects: "weakref.WeakSet[object]" = weakref.WeakSet()
+        self._closed = False
         self.stats = SimulatorStats()
         self._run_state = _RunState(None, None, 0)
         #: Called with the current time once per finished instant (after the
@@ -350,6 +361,8 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("run() is not reentrant")
+        if self._closed:
+            raise SchedulingError(f"simulator {self.name!r} is closed")
         if until is not None and until._fs < self._now_fs:
             raise SchedulingError(
                 f"run(until={until}) is earlier than the current time {self.now}"
@@ -495,6 +508,59 @@ class Simulator:
                     f"simulation starved at {self.now} with blocked processes: {names}"
                 )
         return self.now
+
+    # -- ending -------------------------------------------------------------------
+    def close(self) -> None:
+        """End the simulation for good, so reference counting frees it.
+
+        Kills every process (a suspended body's cleanup runs, as
+        :meth:`Process.kill` runs it), calls every module's
+        :meth:`~repro.kernel.Module.end_of_simulation`, empties the
+        queues and the hooks, and drops the processes from the simulator
+        and from their modules.  Then it cuts every reference from the
+        design back to the simulator (the ``sim`` of modules, processes,
+        events, signals and channels) and up the hierarchy (each module's
+        ``parent``, each port's owner and binding).
+
+        What a run measured stays readable: :attr:`stats`, :attr:`now`,
+        the module tree from the top modules down through ``children``,
+        and every module's own reporting state.  Idempotent; refused
+        inside :meth:`run`, which refuses a closed simulator.  A cleanup
+        that raises does not stop the close: the first such error is
+        raised once everything is cut.
+        """
+        if self._running:
+            raise SchedulingError(f"simulator {self.name!r}: close() inside run()")
+        if self._closed:
+            return
+        self._closed = True
+        processes = list(self._processes)
+        modules = [m for top in self._top_modules for m in (top, *top.descendants())]
+        error: Optional[Exception] = None
+        # A cleanup or a hook that raises must not leave the design half cut.
+        for finish in [p.kill for p in processes] + [m.end_of_simulation for m in modules]:
+            try:
+                finish()
+            except Exception as exc:
+                error = error or exc
+        self._runnable.clear()
+        self._timed_heap.clear()
+        self._delta_events.clear()
+        self._update_queue.clear()
+        self._end_of_elaboration_hooks.clear()
+        self.trace_hooks.clear()
+        self._processes.clear()
+        for process in processes:
+            process._detach()
+        for obj in self._kernel_objects:
+            if isinstance(obj, Event):
+                obj.cancel()
+            obj.sim = None
+        self._kernel_objects.clear()
+        for module in modules:
+            module._detach()
+        if error is not None:
+            raise error
 
     # -- in-place advance (closed-form trains) ------------------------------------
     def alone_horizon(self) -> Optional[Tuple[Optional[int], Optional[int]]]:

@@ -1,6 +1,8 @@
 """Memory models: latency, bounds, sparse backing, config regions."""
 
 import re
+import sys
+import zlib
 from unittest import mock
 
 import pytest
@@ -195,6 +197,36 @@ class TestConfigMemory:
         assert mem.context_for_burst(0xF0, 8) == "a"  # straddles a's start
         assert mem.context_for_burst(0x1FC, 8) == "a"  # its first word is in a
         assert mem.context_for_burst(0x200, 8) == "b"
+
+
+class TestWideWords:
+    """A memory checksums its regions at its own word width."""
+
+    def test_a_flip_above_bit_31_of_a_wide_word_is_caught(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024, word_bytes=8)
+        mem.poke(0, list(range(1, 101)))
+        mem.register_context_region("ctx", 0, 800)
+        mem.corrupt_region("ctx", [40])
+        assert not mem.region_is_clean("ctx")
+        assert mem.scrub_region("ctx")
+        assert mem.region_is_clean("ctx")
+        mem.corrupt_region("ctx", [3])
+        assert not mem.region_is_clean("ctx")
+
+    def test_an_unwritten_wide_region_hashes_its_zero_bytes(self, sim):
+        mem = ConfigMemory("cfg", sim=sim, base=0, size_words=1024, word_bytes=8)
+        mem.register_context_region("ctx", 0, 800)
+        assert mem.checksum_of("ctx") == zlib.crc32(bytes(800))
+
+    @pytest.mark.parametrize("word_bytes", [1, 2, 3, 4, 8, 16])
+    def test_words_are_packed_at_the_given_width(self, word_bytes):
+        top = (1 << 8 * word_bytes) - 1
+        words = [1, top, 0x5A]
+        packed = b"".join(word.to_bytes(word_bytes, sys.byteorder) for word in words)
+        assert region_checksum(words, word_bytes) == zlib.crc32(packed)
+        assert region_checksum([0] * 3, word_bytes) == zlib.crc32(bytes(3 * word_bytes))
+        # A word wider than the width counts as its low bits.
+        assert region_checksum([top + 1 + 7], word_bytes) == region_checksum([7], word_bytes)
 
 
 class TestRegionChecksumInClosedForm:

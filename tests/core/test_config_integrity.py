@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.bus import region_checksum
-from repro.core import RecoveryPolicy
+from repro.bus import Bus, ConfigMemory, region_checksum
+from repro.core import Context, ContextParameters, Drcf, RecoveryPolicy
 from repro.faults import FaultInjector, FaultSpec
-from repro.kernel import ProcessError
-from tests.core.helpers import DrcfRig
+from repro.kernel import ProcessError, Simulator
+from tests.core.helpers import DrcfRig, DummySlave, small_tech
 from tests.faults.helpers import RIG_INFO, rig_design
 
 
@@ -147,6 +147,46 @@ class TestVerifiedFetch:
         assert rig.drcf.contexts[0].params.checksum is None
         access(rig, 0)
         assert rig.drcf.stats.config_retries == 0
+
+
+class TestWideWords:
+    """A fabric on a 64-bit bus fetches 8-byte configuration words and
+    checks every bit of them."""
+
+    @pytest.mark.parametrize("flip", [None, 3, 40], ids=["clean", "bit3", "bit40"])
+    def test_a_fetch_checks_the_whole_word(self, flip):
+        sim = Simulator()
+        bus = Bus("bus", sim=sim, data_width_bits=64, protocol="split")
+        cfgmem = ConfigMemory("cfg", sim=sim, base=0x100000, size_words=1 << 12, word_bytes=8)
+        bus.register_slave(cfgmem)
+        cfgmem.poke(0x100000, [(i << 40) | i for i in range(1, 101)])
+        cfgmem.register_context_region("s0", 0x100000, 800)
+        params = ContextParameters(config_addr=0x100000, size_bytes=800)
+        params.checksum = cfgmem.checksum_of("s0")
+        slave = DummySlave("s0", sim=sim, base=0x1000)
+        drcf = Drcf(
+            "drcf",
+            sim=sim,
+            contexts=[Context(name="s0", module=slave, params=params, gates=1000)],
+            tech=small_tech(),
+            word_bytes=8,
+            recovery=RecoveryPolicy(verify=True, max_retries=0),
+        )
+        drcf.mst_port.bind(bus)
+        bus.register_slave(drcf)
+        if flip is not None:
+            cfgmem.corrupt_region("s0", [flip])
+
+        def body():
+            yield from bus.read(0x1000, master="cpu")
+
+        sim.spawn("p", body)
+        if flip is None:
+            sim.run()
+            assert drcf.stats.config_retries == 0
+        else:
+            with pytest.raises(ProcessError, match="failed its checksum"):
+                sim.run()
 
 
 class TestTransformPropagation:

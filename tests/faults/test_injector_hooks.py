@@ -209,6 +209,24 @@ class TestErrorPaths:
         assert rig.cfgmem.fault_hook is None
 
 
+class TestDetach:
+    def test_detach_disarms_the_hooks_and_keeps_the_log(self):
+        rig = make_rig()
+        injector = attach(rig, FaultSpec("bitflip", "s0", at_ns=0.0, n_bits=2))
+        access(rig, 0, delay_us=1.0)
+        events = list(injector.events)
+        injector.detach()
+        assert rig.drcf.fault_hook is None
+        assert rig.cfgmem.fault_hook is None
+        assert injector.events == events and len(events) == 1
+        injector.detach()  # a second detach is a no-op
+
+    def test_detach_before_attach_is_a_no_op(self):
+        injector = FaultInjector(seed=1)
+        injector.detach()
+        assert injector.events == []
+
+
 def test_core_layer_never_imports_the_faults_package():
     # Layering guard: injection is opt-in via hook attributes, so the core
     # layer (and the bus layer it sits on) must not import repro.faults.

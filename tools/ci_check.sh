@@ -9,12 +9,13 @@
 #      the `ci` hypothesis profile, which draws many more examples
 #   2. kernel throughput smoke (>30% regression vs BENCH_kernel.json fails)
 #      plus the scheduler golden-trace tests, the timed-heap property test
-#      (firing order against a reference model), the burst-train and
-#      poll-train differential tests (closed form against kernel round trip),
-#      the monitor record property test, the bus property tests (every
-#      transfer's monitor record) and the memory property tests (the region
-#      checksum against an independent CRC-32, the paged store, the verdict
-#      memo), under the `ci` hypothesis profile
+#      (firing order against a reference model), the close property test
+#      (a closed simulation, stopped in any kind of wait, dies with its last
+#      reference), the burst-train and poll-train differential tests (closed
+#      form against kernel round trip), the monitor record property test, the
+#      bus property tests (every transfer's monitor record) and the memory
+#      property tests (the region checksum against an independent CRC-32, the
+#      paged store, the verdict memo), under the `ci` hypothesis profile
 #   3. ruff check (skipped with a notice when ruff is not installed)
 #   4. static model lint over every example architecture, including the
 #      opt-in REP4xx dataflow, REP5xx control-flow and REP6xx interproc
@@ -40,9 +41,10 @@ echo "== 1/6 tier-1 tests + golden-function differential tests (ci profile) =="
 python -m pytest tests -q
 python -m pytest tests/apps/test_golden_differential.py -q --hypothesis-profile=ci
 
-echo "== 2/6 kernel throughput + scheduler golden-trace, timed-heap, burst-train, poll-train, monitor, bus and memory checks (ci profile) =="
+echo "== 2/6 kernel throughput + scheduler golden-trace, timed-heap, close, burst-train, poll-train, monitor, bus and memory checks (ci profile) =="
 python tools/bench_kernel.py --check
 python -m pytest tests/integration/test_golden_traces.py tests/kernel/test_timed_heap.py \
+    tests/kernel/test_close_property.py \
     tests/integration/test_burst_train_equivalence.py tests/integration/test_poll_train_equivalence.py \
     tests/bus/test_monitor.py tests/bus/test_bus_properties.py tests/bus/test_memory_properties.py \
     -q --hypothesis-profile=ci
